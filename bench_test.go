@@ -356,7 +356,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			dev.SetWorkers(bc.workers)
+			dev.Workers = bc.workers
 			walk := NewRandomWalk(DefaultWalkConfig(
 				StandardRegion(), 0.96, bc.duration, 1))
 			var frames int

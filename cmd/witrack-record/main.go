@@ -163,19 +163,16 @@ func main() {
 // recordAndVerify captures one cell to path, then replays the written
 // file and returns the replay's scored result — proving on the spot
 // that what landed on disk reproduces the run — together with the
-// on-disk (compressed) and pre-compression encoded sizes. Cells whose
-// device models an ADC (Radio.ADCBits > 0) are captured as quantized
-// int16 sweep traces; all others record pre-transformed range bins.
+// on-disk (compressed) and pre-compression encoded sizes. RecordCell
+// captures cells whose device models an ADC (Radio.ADCBits > 0) as
+// quantized int16 sweep traces; all others record pre-transformed
+// range bins.
 func recordAndVerify(sp *scenario.Spec, deviceIndex int, path string) (*scenario.ReplayResult, int64, int64, error) {
-	record := scenario.RecordCell
-	if deviceIndex < len(sp.Devices) && sp.Devices[deviceIndex].Radio.ADCBits > 0 {
-		record = scenario.RecordCellSweeps
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	_, raw, err := record(sp, deviceIndex, f)
+	_, raw, err := scenario.RecordCell(sp, deviceIndex, f)
 	if err != nil {
 		f.Close()
 		os.Remove(path)

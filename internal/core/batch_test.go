@@ -145,7 +145,8 @@ func compactSweepConfig(seed int64) Config {
 }
 
 // TestSweepTraceRoundTrip closes the sweep-domain parity chain: a
-// SlowSynth run is captured as raw sweeps (RecordSweepsTo), replayed
+// SlowSynth run is captured as raw sweeps (RecordTo under a
+// SweepTraceHeader), replayed
 // through the full window + RFFT + averaging path on a fresh device,
 // and must reproduce the live run bit for bit — once with private
 // transforms and once routed through a cross-session BatchScheduler.
@@ -170,7 +171,7 @@ func TestSweepTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := recDev.RecordSweepsTo(tw, traj)
+	frames, err := recDev.RecordTo(tw, traj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,8 @@ func TestSweepTraceRoundTrip(t *testing.T) {
 
 // TestRecordSweepsRequiresSlowSynth pins the fast-path refusal: the
 // spectral-synthesis path never materializes time-domain sweeps, so
-// recording them must fail loudly instead of writing an empty trace.
+// recording into a sweep-domain writer must fail loudly instead of
+// writing an empty trace — on both device kinds.
 func TestRecordSweepsRequiresSlowSynth(t *testing.T) {
 	cfg := compactSweepConfig(34)
 	cfg.SlowSynth = false
@@ -234,7 +236,14 @@ func TestRecordSweepsRequiresSlowSynth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.RecordSweepsTo(tw, traj); err == nil {
-		t.Fatal("RecordSweepsTo accepted a fast-synthesis device")
+	if _, err := dev.RecordTo(tw, traj); err == nil {
+		t.Fatal("RecordTo accepted a sweep-domain writer on a fast-synthesis device")
+	}
+	multi, err := NewMultiDevice(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := multi.RecordTo(tw, traj); err == nil {
+		t.Fatal("MultiDevice.RecordTo accepted a sweep-domain writer on a fast-synthesis device")
 	}
 }

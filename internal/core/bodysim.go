@@ -9,6 +9,45 @@ import (
 	"witrack/internal/motion"
 )
 
+// Arm scatterer slide parameters: the dominant reflection point sits a
+// mean of ~15 cm up the forearm and wanders with ~10 cm spread over
+// ~0.6 s correlation time.
+const (
+	armSlideMean = 0.15
+	armSlideStd  = 0.10
+	armSlideTau  = 0.6
+	armLatStd    = 0.09
+)
+
+// ouUpdate advances a scalar Ornstein-Uhlenbeck process with the given
+// mean, stationary std, and correlation time.
+func ouUpdate(x, mean, std, tau, dt float64, rng *rand.Rand) float64 {
+	a := math.Exp(-dt / tau)
+	return mean + a*(x-mean) + math.Sqrt(1-a*a)*std*rng.NormFloat64()
+}
+
+// gaitHz is the stride rate driving trailing body-part depth.
+const gaitHz = 1.3
+
+// perAntennaWanderScale is the fraction of the torso-patch wander that
+// is independent per receive antenna. The independent component is what
+// the ellipsoid intersection amplifies along x and z (dilution of
+// precision), reproducing the paper's error anisotropy.
+const perAntennaWanderScale = 0.18
+
+// perAntennaWanderTau is the correlation time of the per-antenna speckle
+// component. It is much shorter than the gait cycle, so long-window
+// smoothing (the fall detector, the hold interpolator) can average it
+// away — matching the paper's clean Fig. 6 elevation traces despite the
+// ~21 cm per-frame z error.
+const perAntennaWanderTau = 0.12
+
+// reflector is one moving scatterer for the current frame.
+type reflector struct {
+	pt  geom.Vec3
+	rcs float64
+}
+
 // bodySim holds the per-subject radar-reflection state: the wandering
 // torso patch (common + per-antenna components), the gait-driven
 // trailing parts, and the gesture arm scatterer. Extracted so a device
@@ -55,14 +94,15 @@ func (b *bodySim) reset() {
 	b.havePrev = false
 }
 
-// reflectors returns the subject's moving scatterers per receive antenna
-// for the given state (see Device.reflectors for the physics notes).
-func (b *bodySim) reflectors(st motion.BodyState, tx geom.Vec3, nRx int, dt float64) [][]reflector {
-	return b.reflectorsInto(nil, st, tx, nRx, dt)
-}
-
-// reflectorsInto is reflectors reusing dst's per-antenna slices, so the
-// streaming source pays no per-frame allocation once warm.
+// reflectorsInto returns the subject's moving scatterers per receive
+// antenna for the given state, reusing dst's per-antenna slices so the
+// streaming source pays no per-frame allocation once warm: the torso
+// patch (whole-body wander common to all antennas plus a per-antenna
+// decorrelated component, re-advanced only while the body translates —
+// a motionless torso produces frame-to-frame identical paths so
+// background subtraction erases it, §4.2/§10), the gait-swinging
+// trailing parts, and, during gestures, the arm scatterer with its much
+// smaller RCS (§6.1).
 func (b *bodySim) reflectorsInto(dst [][]reflector, st motion.BodyState, tx geom.Vec3, nRx int, dt float64) [][]reflector {
 	out := dst
 	if len(out) != nRx {

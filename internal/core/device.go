@@ -6,17 +6,12 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"math/rand"
 	"time"
 
 	"witrack/internal/body"
 	"witrack/internal/dsp"
-	"witrack/internal/fault"
 	"witrack/internal/fmcw"
 	"witrack/internal/geom"
-	"witrack/internal/locate"
 	"witrack/internal/motion"
 	"witrack/internal/rf"
 	"witrack/internal/track"
@@ -98,233 +93,29 @@ type RunResult struct {
 	Frames int
 }
 
-// Device is a simulated WiTrack unit. A device runs one trajectory at a
-// time: Run and Stream drive the same staged pipeline over the device's
-// trackers and RNG and must not be called concurrently on one device.
+// Device is a simulated WiTrack unit tracking one person. A device runs
+// one trajectory at a time: Run and Stream drive the same staged
+// pipeline over the device's trackers and RNG and must not be called
+// concurrently on one device. Everything it shares with MultiDevice —
+// the simulator, the pipeline settings (Workers, Pool, Batch,
+// MonitorHealth, FrameDeadline), fault injection, recording and Reset —
+// lives in the embedded shell; Device adds the one-round-trip trackers,
+// the Solve/SolveMasked fuse and the diagnostics of Run.
 type Device struct {
-	cfg      Config
-	synth    *fmcw.Synthesizer
-	prop     *rf.Propagator
-	trackers []*track.Tracker
-	locator  *locate.Locator
-	rng      *rand.Rand
-	// ring recycles FrameBatch buffers across the device's runs: one
-	// trajectory at a time, so successive Run/Stream calls reuse the
-	// frame memory the previous run warmed up.
-	ring *batchRing
+	shell[*track.Tracker]
 
 	// RecordSpectrograms retains raw magnitude frames (memory heavy;
 	// used for Fig. 3/Fig. 5 generation).
 	RecordSpectrograms bool
-
-	// Workers is the number of per-antenna pipeline workers (stage 2).
-	// 0 means one per receive antenna — the default and the fastest;
-	// 1 degenerates to a fully serial processing stage (useful for
-	// measuring the parallel speedup). Values above the antenna count
-	// are capped.
-	Workers int
-
-	// Pool, when non-nil, is a shared processing-slot pool bounding how
-	// much of this device's pipeline computes concurrently with every
-	// other device on the same pool — the multi-session daemon's
-	// fairness knob. nil (the default) leaves the run unpooled. Output
-	// is bit-identical either way (see WorkerPool).
-	Pool *WorkerPool
-
-	// Batch, when non-nil, routes this device's frame-level RFFT batch
-	// calls (the time-domain sweep path) through a shared cross-session
-	// BatchScheduler, so transforms land in combined stage-interleaved
-	// calls with every other pipeline on the same scheduler. Output is
-	// bit-identical with or without it (see BatchScheduler). nil (the
-	// default) keeps transforms private to this device.
-	Batch *BatchClient
-
-	// MonitorHealth turns on per-antenna health tracking even without an
-	// installed injector: unhealthy frames (NaN/Inf bins, all-zero) are
-	// quarantined before they reach the trackers, sustained damage takes
-	// the antenna out of the solve, and fixes from a reduced antenna set
-	// are flagged Degraded. Use it when streaming untrusted input (a
-	// recovered corrupt trace, live hardware). InjectFaults implies it.
-	MonitorHealth bool
-
-	// FrameDeadline, when positive, arms a watchdog on every run: a
-	// source that takes longer than this to produce a frame ends the run
-	// with a descriptive RunError instead of wedging the pipeline
-	// forever. Zero (the default) trusts the source.
-	FrameDeadline time.Duration
-
-	// faults, when non-nil, is the deterministic injector driving this
-	// device's chaos runs; runErr latches why the last run ended early.
-	faults *fault.Injector
-	runErr error
-
-	// sim holds the subject's radar-reflection state (torso patch
-	// wander, gait parts, gesture arm).
-	sim *bodySim
 }
-
-// Arm scatterer slide parameters: the dominant reflection point sits a
-// mean of ~15 cm up the forearm and wanders with ~10 cm spread over
-// ~0.6 s correlation time.
-const (
-	armSlideMean = 0.15
-	armSlideStd  = 0.10
-	armSlideTau  = 0.6
-	armLatStd    = 0.09
-)
-
-// ouUpdate advances a scalar Ornstein-Uhlenbeck process with the given
-// mean, stationary std, and correlation time.
-func ouUpdate(x, mean, std, tau, dt float64, rng *rand.Rand) float64 {
-	a := math.Exp(-dt / tau)
-	return mean + a*(x-mean) + math.Sqrt(1-a*a)*std*rng.NormFloat64()
-}
-
-// gaitHz is the stride rate driving trailing body-part depth.
-const gaitHz = 1.3
-
-// perAntennaWanderScale is the fraction of the torso-patch wander that
-// is independent per receive antenna. The independent component is what
-// the ellipsoid intersection amplifies along x and z (dilution of
-// precision), reproducing the paper's error anisotropy.
-const perAntennaWanderScale = 0.18
-
-// perAntennaWanderTau is the correlation time of the per-antenna speckle
-// component. It is much shorter than the gait cycle, so long-window
-// smoothing (the fall detector, the hold interpolator) can average it
-// away — matching the paper's clean Fig. 6 elevation traces despite the
-// ~21 cm per-frame z error.
-const perAntennaWanderTau = 0.12
 
 // NewDevice validates the configuration and builds the device.
 func NewDevice(cfg Config) (*Device, error) {
-	if err := cfg.Radio.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := cfg.Array.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if cfg.Scene == nil {
-		return nil, fmt.Errorf("core: nil scene")
-	}
-	if cfg.Radio.ADCBits > 0 && !cfg.SlowSynth {
-		return nil, fmt.Errorf("core: ADCBits=%d requires SlowSynth (the fast path synthesizes spectra directly and never digitizes time-domain samples)", cfg.Radio.ADCBits)
-	}
-	synth := fmcw.NewSynthesizer(cfg.Radio)
-	loc, err := locate.New(cfg.Array)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	d := &Device{
-		cfg:     cfg,
-		synth:   synth,
-		prop:    rf.NewPropagator(cfg.Scene, cfg.Array, cfg.Radio),
-		locator: loc,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		ring:    newBatchRing(ringCapacity),
-	}
-	d.sim = newBodySim(cfg.Subject, len(cfg.Array.Rx), d.rng)
-	tc := track.DefaultConfig(cfg.Radio.BinDistance(), cfg.Radio.FrameInterval(), synth.NoiseBinSigma())
-	if cfg.TrackerOverride != nil {
-		cfg.TrackerOverride(&tc)
-	}
-	for range cfg.Array.Rx {
-		d.trackers = append(d.trackers, track.New(tc))
+	d := &Device{}
+	if err := d.init(cfg, track.New); err != nil {
+		return nil, err
 	}
 	return d, nil
-}
-
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
-// Synthesizer exposes the radio synthesizer (for calibration in tests).
-func (d *Device) Synthesizer() *fmcw.Synthesizer { return d.synth }
-
-// reflector is one moving scatterer for the current frame.
-type reflector struct {
-	pt  geom.Vec3
-	rcs float64
-}
-
-// reflectors returns the moving scatterers per receive antenna for the
-// current body state: the torso patch (whole-body wander common to all
-// antennas plus a per-antenna decorrelated component, re-advanced only
-// while the body translates — a motionless torso produces frame-to-frame
-// identical paths so background subtraction erases it, §4.2/§10), the
-// gait-swinging trailing parts, and, during gestures, the arm scatterer
-// with its much smaller RCS (§6.1).
-func (d *Device) reflectors(st motion.BodyState) [][]reflector {
-	return d.sim.reflectors(st, d.cfg.Array.Tx, len(d.cfg.Array.Rx), d.cfg.Radio.FrameInterval())
-}
-
-// antennaScratch is one pipeline worker's per-antenna reusable buffers:
-// the path list, the spectrum frame, and the time-domain sweep scratch
-// (created on first use; it references the shared immutable FFT plan but
-// its buffers belong to this antenna alone). Each antenna is processed
-// by exactly one goroutine, so the buffers need no synchronization.
-type antennaScratch struct {
-	paths []fmcw.Path
-	spec  dsp.ComplexFrame
-	sweep *fmcw.SweepScratch
-	prec  dsp.Precision
-	// batch, when non-nil, is installed on the sweep scratch so this
-	// antenna's frame transforms coalesce with other pipelines'.
-	batch *BatchClient
-
-	// Fault-injection and health-monitoring state (used only on
-	// monitored pipelines): faultBuf is the corruption scratch copy,
-	// last/haveLast the stale-frame history for Stuck windows, badStreak
-	// the consecutive-unhealthy count behind the dark escalation.
-	faultBuf  dsp.ComplexFrame
-	last      dsp.ComplexFrame
-	haveLast  bool
-	badStreak int
-}
-
-// materialize returns antenna k's complex frame for batch b: the eager
-// frame if the source provided one, otherwise the deferred deterministic
-// work — either the fast path's spectral synthesis (static paths, then
-// each target's paths in order, then the pre-drawn noise) or the slow
-// path's window + real-input FFT + coherent averaging of raw sweeps —
-// reusing the worker's scratch. The operation order matches the fused
-// serial synthesis exactly, so the result is bit-identical to what the
-// serial loop produced.
-func (w *antennaScratch) materialize(synth *fmcw.Synthesizer, prop *rf.Propagator, k int, b *FrameBatch) dsp.ComplexFrame {
-	switch {
-	case b.sweeps16 != nil:
-		// Quantized sweeps take precedence over the float64 synthesis
-		// scratch: the codes are what the modeled ADC output, and routing
-		// them through the fused dequantize+window kernels keeps live,
-		// recorded, and replayed runs bit-identical.
-		if w.sweep == nil {
-			w.sweep = synth.NewSweepScratchPrecision(w.prec)
-			if w.batch != nil {
-				w.sweep.SetBatcher(w.batch)
-			}
-		}
-		w.spec = synth.ComplexFrameFromSweepsInt16Into(w.spec, b.sweeps16[k], b.scale16, w.sweep)
-		return w.spec
-	case b.sweeps != nil:
-		if w.sweep == nil {
-			w.sweep = synth.NewSweepScratchPrecision(w.prec)
-			if w.batch != nil {
-				w.sweep.SetBatcher(w.batch)
-			}
-		}
-		w.spec = synth.ComplexFrameFromSweepsInto(w.spec, b.sweeps[k], w.sweep)
-		return w.spec
-	case b.synth != nil:
-		j := &b.synth[k]
-		w.paths = append(w.paths[:0], prop.StaticPaths(k)...)
-		for _, r := range j.targets {
-			w.paths = prop.AppendTargetPaths(w.paths, k, r.pt, r.rcs)
-		}
-		w.spec = synth.PathSpectrum(w.paths, w.spec)
-		fmcw.AddNoise(w.spec, j.noise)
-		return w.spec
-	default:
-		return b.Frames[k]
-	}
 }
 
 // antResult is one antenna's per-frame output inside the pipeline.
@@ -334,49 +125,27 @@ type antResult struct {
 	dark bool      // monitored pipelines: exclude this antenna from the solve
 }
 
-// stream drives the staged pipeline over src and calls emit with each
-// fused sample in frame order, together with the frame's per-antenna
-// estimates and (when recording) magnitude frames. emit must not retain
-// the slices. It returns the accumulated signal-processing CPU time
-// (tracking + localization, across all workers) — the paper's §7 budget
-// quantity.
-func (d *Device) stream(ctx context.Context, src FrameSource,
-	emit func(s Sample, ests []track.Estimate, mags []dsp.Frame) bool) time.Duration {
+// run drives the staged pipeline over src and calls emit with each
+// fused sample in frame order; when diag is non-nil it first receives
+// the frame's per-antenna estimates and (when recording) magnitude
+// frames, which it must not retain. It returns the accumulated
+// signal-processing CPU time (tracking + localization, across all
+// workers) — the paper's §7 budget quantity.
+func (d *Device) run(ctx context.Context, src FrameSource, emit func(Sample) bool,
+	diag func(ests []track.Estimate, mags []dsp.Frame)) time.Duration {
 	nRx := len(d.cfg.Array.Rx)
-	scratch := make([]antennaScratch, nRx)
-	for k := range scratch {
-		scratch[k].prec = d.cfg.Precision
-		scratch[k].batch = d.Batch
-	}
+	monitor := d.monitored()
 	procNS := make([]int64, nRx)
 	var locateNS int64
 
-	// Monitored pipelines (an installed injector, or MonitorHealth)
-	// take a health-checked processing path; unmonitored pipelines run
-	// the exact historical code, bit for bit.
-	d.runErr = nil
-	monitor := d.faults != nil || d.MonitorHealth
-	src, wd := guardSource(src, d.faults, d.FrameDeadline)
-
-	proc := func(k int, b *FrameBatch) antResult {
-		frame := scratch[k].materialize(d.synth, d.prop, k, b)
+	push := func(k int, frame dsp.ComplexFrame, healthy, dark bool) antResult {
 		start := time.Now()
 		var r antResult
-		if monitor {
-			if d.faults != nil {
-				frame = scratch[k].injectFault(d.faults, b.Index, k, frame)
-			}
-			healthy, dark := scratch[k].health(frame)
-			if healthy {
-				r.est = d.trackers[k].Push(frame)
-			} else {
-				// Quarantine: the damaged frame must reach neither the
-				// tracker's background state nor its measurement chain.
-				r.est = d.trackers[k].Coast()
-				r.dark = dark
-			}
-		} else {
+		if healthy {
 			r.est = d.trackers[k].Push(frame)
+		} else {
+			r.est = d.trackers[k].Coast()
+			r.dark = dark
 		}
 		procNS[k] += time.Since(start).Nanoseconds()
 		if d.RecordSpectrograms {
@@ -417,14 +186,13 @@ func (d *Device) stream(ctx context.Context, src FrameSource,
 			sample.Moving = movingCount >= 2
 		}
 		locateNS += time.Since(start).Nanoseconds()
-		return emit(sample, ests, mags)
+		if diag != nil {
+			diag(ests, mags)
+		}
+		return emit(sample)
 	}
 
-	runPipeline(ctx, src, d.Workers, d.Pool, proc, fuse)
-	if wd != nil {
-		wd.shutdown()
-		d.runErr = wd.err
-	}
+	runStages(&d.shell, ctx, src, push, fuse)
 	total := locateNS
 	for _, ns := range procNS {
 		total += ns
@@ -432,31 +200,9 @@ func (d *Device) stream(ctx context.Context, src FrameSource,
 	return time.Duration(total)
 }
 
-// simSource wraps the device's simulator as the pipeline's stage-1
-// source for the given trajectory.
-func (d *Device) simSource(traj motion.Trajectory) *simSource {
-	return newSimSource(d.synth, d.prop, d.rng,
-		[]*bodySim{d.sim}, []motion.Trajectory{traj},
-		d.cfg.Array.Tx, len(d.cfg.Array.Rx), d.cfg.Radio.FrameInterval(), d.cfg.SlowSynth, d.ring)
-}
-
-// streamTo launches the pipeline over src in a goroutine and returns
-// the channel its samples are delivered on, closed at end of stream or
-// cancellation.
-func (d *Device) streamTo(ctx context.Context, src FrameSource) <-chan Sample {
-	out := make(chan Sample, pipelineDepth)
-	go func() {
-		defer close(out)
-		d.stream(ctx, src, func(s Sample, _ []track.Estimate, _ []dsp.Frame) bool {
-			select {
-			case out <- s:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
-	return out
+// stream is run without diagnostics, in the shape deliver drives.
+func (d *Device) stream(ctx context.Context, src FrameSource, emit func(Sample) bool) {
+	d.run(ctx, src, emit, nil)
 }
 
 // Stream tracks the trajectory and delivers location samples as they
@@ -466,7 +212,8 @@ func (d *Device) streamTo(ctx context.Context, src FrameSource) <-chan Sample {
 // Run's: the simulation RNG is consumed in serial frame order by the
 // source stage; only deterministic processing fans out.
 func (d *Device) Stream(ctx context.Context, traj motion.Trajectory) <-chan Sample {
-	return d.streamTo(ctx, d.simSource(traj))
+	src, _ := d.simSource([]motion.Trajectory{traj}) // one trajectory, one subject
+	return deliver(ctx, src, d.stream)
 }
 
 // StreamFrom runs the pipeline over an arbitrary frame source (a
@@ -474,10 +221,10 @@ func (d *Device) Stream(ctx context.Context, traj motion.Trajectory) <-chan Samp
 // simulator. It returns an error if the source's antenna count does
 // not match the device's array.
 func (d *Device) StreamFrom(ctx context.Context, src FrameSource) (<-chan Sample, error) {
-	if got, want := src.NumRx(), len(d.cfg.Array.Rx); got != want {
-		return nil, fmt.Errorf("core: source has %d antennas, device array has %d", got, want)
+	if err := d.checkSource(src); err != nil {
+		return nil, err
 	}
-	return d.streamTo(ctx, src), nil
+	return deliver(ctx, src, d.stream), nil
 }
 
 // Run simulates tracking the trajectory for its full duration and
@@ -485,7 +232,7 @@ func (d *Device) StreamFrom(ctx context.Context, src FrameSource) (<-chan Sample
 // pipeline run to completion with all diagnostics collected.
 func (d *Device) Run(traj motion.Trajectory) *RunResult {
 	nRx := len(d.cfg.Array.Rx)
-	src := d.simSource(traj)
+	src, _ := d.simSource([]motion.Trajectory{traj})
 	// The source knows the run length up front; pre-sizing the result
 	// slices keeps append-growth reallocations out of the streaming loop.
 	nFrames := src.Frames()
@@ -506,19 +253,21 @@ func (d *Device) Run(traj motion.Trajectory) *RunResult {
 			}
 		}
 	}
-	res.ProcessingTime = d.stream(context.Background(), src,
-		func(s Sample, ests []track.Estimate, mags []dsp.Frame) bool {
+	res.ProcessingTime = d.run(context.Background(), src,
+		func(s Sample) bool {
+			res.Samples = append(res.Samples, s)
+			res.Frames++
+			return true
+		},
+		func(ests []track.Estimate, mags []dsp.Frame) {
 			for k := 0; k < nRx; k++ {
 				res.PerAntenna[k] = append(res.PerAntenna[k], ests[k])
 			}
-			res.Samples = append(res.Samples, s)
-			res.Frames++
 			if d.RecordSpectrograms {
 				for k := 0; k < nRx; k++ {
 					res.Spectrograms[k].Frames = append(res.Spectrograms[k].Frames, mags[k])
 				}
 			}
-			return true
 		})
 	return res
 }
@@ -550,12 +299,4 @@ func (d *Device) ClearBackground() {
 	for _, tr := range d.trackers {
 		tr.SetBackground(nil)
 	}
-}
-
-// Reset clears tracker state so the device can run a fresh trajectory.
-func (d *Device) Reset() {
-	for _, tr := range d.trackers {
-		tr.Reset()
-	}
-	d.sim.reset()
 }

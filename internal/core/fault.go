@@ -17,60 +17,6 @@ import (
 // from the healthy antennas beats a fix anchored to a dead one.
 const darkAfter = 8
 
-// InjectFaults installs a deterministic fault injector on the device:
-// subsequent runs drop and corrupt frames per the schedule, and the
-// pipeline switches to health-monitored processing (quarantining
-// unhealthy frames, coasting trackers through them, and solving on the
-// healthy antenna subset — see stream). It validates the schedule
-// against the device's array. Install before a run, not during one;
-// InjectFaults(fault.Schedule{}) effectively clears injection while
-// keeping monitoring on.
-func (d *Device) InjectFaults(s fault.Schedule) error {
-	if err := s.Validate(len(d.cfg.Array.Rx)); err != nil {
-		return err
-	}
-	d.faults = fault.New(s)
-	return nil
-}
-
-// FaultStats returns the injector's counters (zero when no injector is
-// installed). Stable once a run's output channel has closed.
-func (d *Device) FaultStats() fault.Stats {
-	if d.faults == nil {
-		return fault.Stats{}
-	}
-	return d.faults.Stats()
-}
-
-// RunError reports why the most recent run ended early (currently: the
-// frame-deadline watchdog), or nil for a clean end of stream. Valid
-// once the run's output channel has closed; reset at the start of the
-// next run.
-func (d *Device) RunError() error { return d.runErr }
-
-// InjectFaults installs a deterministic fault injector on the k-person
-// device — MultiDevice's counterpart of Device.InjectFaults.
-func (d *MultiDevice) InjectFaults(s fault.Schedule) error {
-	if err := s.Validate(len(d.cfg.Array.Rx)); err != nil {
-		return err
-	}
-	d.faults = fault.New(s)
-	return nil
-}
-
-// FaultStats returns the injector's counters (zero when no injector is
-// installed).
-func (d *MultiDevice) FaultStats() fault.Stats {
-	if d.faults == nil {
-		return fault.Stats{}
-	}
-	return d.faults.Stats()
-}
-
-// RunError reports why the most recent run ended early, or nil. See
-// Device.RunError.
-func (d *MultiDevice) RunError() error { return d.runErr }
-
 // faultSource filters a FrameSource through the injector's whole-frame
 // drop decisions. Dropping happens after the source produced the batch
 // (its RNG is already consumed), so the frames that do survive are
@@ -221,9 +167,9 @@ func frameHealthy(f dsp.ComplexFrame) bool {
 // injectFault applies the injector's per-antenna decision for (frame,
 // antenna) to the materialized frame and returns the frame to deliver.
 // Corrupting kinds mutate a scratch copy, never the source's buffer (a
-// RecordedSource's frames are caller-owned). When any schedule window
-// replays stale frames, the delivered frame is also retained as this
-// antenna's history.
+// trace source's frames belong to its recycling ring). When any
+// schedule window replays stale frames, the delivered frame is also
+// retained as this antenna's history.
 func (w *antennaScratch) injectFault(inj *fault.Injector, frame, k int, f dsp.ComplexFrame) dsp.ComplexFrame {
 	out := f
 	switch kind := inj.Antenna(frame, k); kind {

@@ -29,11 +29,14 @@ func recordSweeps16Bytes(t *testing.T, cfg Config, traj motion.Trajectory) (data
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, dev.SweepTraceHeaderInt16())
+	tw, err := trace.NewWriter(&buf, dev.SweepTraceHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.RecordSweepsInt16To(tw, traj); err != nil {
+	if h := tw.Header(); h.Sample != trace.SampleInt16 || h.ADCBits != cfg.Radio.ADCBits {
+		t.Fatalf("SweepTraceHeader on an ADC device = %+v, want int16 codes at %d bits", h, cfg.Radio.ADCBits)
+	}
+	if _, err := dev.RecordTo(tw, traj); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -43,8 +46,8 @@ func recordSweeps16Bytes(t *testing.T, cfg Config, traj motion.Trajectory) (data
 }
 
 // TestInt16RecordReplayMatchesLive pins the quantized leg of the
-// live == recorded == replayed parity chain: the codes written by
-// RecordSweepsInt16To are the codes the live pipeline consumed, so
+// live == recorded == replayed parity chain: the codes RecordTo writes
+// are the codes the live pipeline consumed, so
 // streaming the trace back through TraceSource and the fused
 // dequantize+window kernels must reproduce the live run bit for bit —
 // quantization happens once, in the source, and everything downstream
@@ -149,7 +152,7 @@ func TestInt16TraceCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev64.RecordSweepsTo(tw64, traj); err != nil {
+	if _, err := dev64.RecordTo(tw64, traj); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw64.Close(); err != nil {
@@ -221,11 +224,12 @@ func TestInt16DeviceWithinTolerance(t *testing.T) {
 	}
 }
 
-// TestInt16RecordingGuards pins the API misuses to errors: quantized
-// devices must not silently record float64 sweeps (the trace would
-// claim a precision the pipeline never had), unquantized devices have
-// no codes to write, and a quantized config without SlowSynth has no
-// time-domain samples to digitize at all.
+// TestInt16RecordingGuards pins the API misuses to errors: a quantized
+// device must not record float64 sweeps (the trace would claim a
+// precision the pipeline never had), an unquantized device has no codes
+// to write, a writer whose quantizer differs from the device's would
+// dequantize every code wrong, and a quantized config without SlowSynth
+// has no time-domain samples to digitize at all.
 func TestInt16RecordingGuards(t *testing.T) {
 	traj := testWalk(0.5, 5)
 
@@ -233,27 +237,31 @@ func TestInt16RecordingGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, qdev.SweepTraceHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := qdev.RecordSweepsTo(tw, traj); err == nil {
-		t.Fatal("RecordSweepsTo on a quantized device should be rejected")
-	}
-
 	cfg := quantConfig(5)
 	cfg.Radio.ADCBits = 0
 	pdev, err := NewDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw2, err := trace.NewWriter(&buf, pdev.SweepTraceHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pdev.RecordSweepsInt16To(tw2, traj); err == nil {
-		t.Fatal("RecordSweepsInt16To without ADCBits should be rejected")
+	rescaled := qdev.SweepTraceHeader()
+	rescaled.ADCScale *= 2
+	for _, tc := range []struct {
+		name string
+		dev  *Device
+		h    trace.Header
+	}{
+		{"float64 sweeps from a quantized device", qdev, pdev.SweepTraceHeader()},
+		{"int16 codes from an unquantized device", pdev, qdev.SweepTraceHeader()},
+		{"int16 codes under another quantizer scale", qdev, rescaled},
+	} {
+		var buf bytes.Buffer
+		tw, err := trace.NewWriter(&buf, tc.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tc.dev.RecordTo(tw, traj); err == nil {
+			t.Fatalf("RecordTo accepted %s", tc.name)
+		}
 	}
 
 	fast := quantConfig(5)

@@ -2,57 +2,24 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
-	"time"
 
 	"witrack/internal/body"
 	"witrack/internal/dsp"
-	"witrack/internal/fault"
-	"witrack/internal/fmcw"
 	"witrack/internal/geom"
 	"witrack/internal/locate"
 	"witrack/internal/motion"
-	"witrack/internal/rf"
-	"witrack/internal/trace"
 	"witrack/internal/track"
 )
 
 // MultiDevice tracks k concurrent movers — the paper's §10 extension
 // generalized: per-antenna k-TOF extraction, assignment disambiguation
 // across the (k!)^nRx candidate-to-target bijections (locate.SolveK),
-// and trajectory-continuity scoring. It runs the same staged streaming
-// pipeline Device uses; only the worker payload (a k-target tracker)
-// and the fusion step (the joint assignment search) differ.
+// and trajectory-continuity scoring. It embeds the same shell Device
+// does and runs the same staged streaming pipeline; only the worker
+// payload (a k-target tracker) and the fusion step (the joint assignment
+// search) differ.
 type MultiDevice struct {
-	cfg      Config
-	subjects []body.Subject
-	synth    *fmcw.Synthesizer
-	prop     *rf.Propagator
-	trackers []*track.MultiTracker
-	locator  *locate.Locator
-	rng      *rand.Rand
-	sims     []*bodySim
-	ring     *batchRing
-
-	// Workers is the per-antenna pipeline worker count (see
-	// Device.Workers); 0 means one per receive antenna.
-	Workers int
-
-	// Pool is the shared processing-slot pool (see Device.Pool).
-	Pool *WorkerPool
-
-	// Batch is the cross-session transform coalescing handle (see
-	// Device.Batch).
-	Batch *BatchClient
-
-	// MonitorHealth/FrameDeadline mirror Device's robustness knobs (see
-	// Device.MonitorHealth and Device.FrameDeadline).
-	MonitorHealth bool
-	FrameDeadline time.Duration
-
-	faults *fault.Injector
-	runErr error
+	shell[*track.MultiTracker]
 }
 
 // MultiSample is one k-person output frame. Pos and Truth are in
@@ -79,41 +46,25 @@ type MultiRunResult struct {
 // subjects the device degenerates to a single-target tracker on the
 // multi-target pipeline.
 func NewMultiDevice(cfg Config, others ...body.Subject) (*MultiDevice, error) {
-	// Building the base device first validates cfg and — deliberately —
-	// reproduces the historical constructor's RNG draw order, keeping
-	// the k=2 path bit-identical to the original two-person device.
-	base, err := NewDevice(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	subjects := append([]body.Subject{cfg.Subject}, others...)
+	k := len(subjects)
+	d := &MultiDevice{}
+	if err := d.init(cfg, func(tc track.Config) *track.MultiTracker { return track.NewMulti(tc, k) }); err != nil {
+		return nil, err
 	}
-	d := &MultiDevice{
-		cfg:      cfg,
-		subjects: append([]body.Subject{cfg.Subject}, others...),
-		synth:    base.synth,
-		prop:     base.prop,
-		locator:  base.locator,
-		rng:      base.rng,
-		ring:     base.ring,
-	}
-	k := len(d.subjects)
-	tc := track.DefaultConfig(cfg.Radio.BinDistance(), cfg.Radio.FrameInterval(), d.synth.NoiseBinSigma())
-	if cfg.TrackerOverride != nil {
-		cfg.TrackerOverride(&tc)
-	}
-	for range cfg.Array.Rx {
-		d.trackers = append(d.trackers, track.NewMulti(tc, k))
-	}
-	for _, sub := range d.subjects {
+	// The shell drew subject 0's body simulation, as the single-person
+	// device does; every subject's simulation is drawn again after it.
+	// That is the historical two-person constructor's RNG draw order,
+	// which the multi-person golden digests pin.
+	d.sims = make([]*bodySim, 0, k)
+	for _, sub := range subjects {
 		d.sims = append(d.sims, newBodySim(sub, len(cfg.Array.Rx), d.rng))
 	}
 	return d, nil
 }
 
-// Config returns the device configuration.
-func (d *MultiDevice) Config() Config { return d.cfg }
-
 // NumSubjects returns k, the concurrent-target count.
-func (d *MultiDevice) NumSubjects() int { return len(d.subjects) }
+func (d *MultiDevice) NumSubjects() int { return len(d.sims) }
 
 // stream drives the staged pipeline over src and calls emit with each
 // fused k-person sample in frame order. The association of output
@@ -122,30 +73,14 @@ func (d *MultiDevice) NumSubjects() int { return len(d.subjects) }
 // trajectory consistency is available).
 func (d *MultiDevice) stream(ctx context.Context, src FrameSource, emit func(s MultiSample) bool) {
 	nRx := len(d.cfg.Array.Rx)
-	k := len(d.subjects)
-	scratch := make([]antennaScratch, nRx)
-	for a := range scratch {
-		scratch[a].prec = d.cfg.Precision
-		scratch[a].batch = d.Batch
-	}
-
-	d.runErr = nil
-	monitor := d.faults != nil || d.MonitorHealth
-	src, wd := guardSource(src, d.faults, d.FrameDeadline)
+	k := len(d.sims)
+	monitor := d.monitored()
 
 	type multiResult struct {
 		ests []track.Estimate
 		dark bool
 	}
-	proc := func(a int, b *FrameBatch) multiResult {
-		frame := scratch[a].materialize(d.synth, d.prop, a, b)
-		if !monitor {
-			return multiResult{ests: d.trackers[a].Push(frame)}
-		}
-		if d.faults != nil {
-			frame = scratch[a].injectFault(d.faults, b.Index, a, frame)
-		}
-		healthy, dark := scratch[a].health(frame)
+	push := func(a int, frame dsp.ComplexFrame, healthy, dark bool) multiResult {
 		if !healthy {
 			return multiResult{ests: d.trackers[a].Coast(), dark: dark}
 		}
@@ -228,22 +163,7 @@ func (d *MultiDevice) stream(ctx context.Context, src FrameSource, emit func(s M
 		return emit(sample)
 	}
 
-	runPipeline(ctx, src, d.Workers, d.Pool, proc, fuse)
-	if wd != nil {
-		wd.shutdown()
-		d.runErr = wd.err
-	}
-}
-
-// simSource wraps the device's simulator as the pipeline source for
-// the given trajectories (one per subject, in subject order).
-func (d *MultiDevice) simSource(trajs []motion.Trajectory) (*simSource, error) {
-	if len(trajs) != len(d.subjects) {
-		return nil, fmt.Errorf("core: %d trajectories for %d subjects", len(trajs), len(d.subjects))
-	}
-	return newSimSource(d.synth, d.prop, d.rng,
-		d.sims, trajs,
-		d.cfg.Array.Tx, len(d.cfg.Array.Rx), d.cfg.Radio.FrameInterval(), d.cfg.SlowSynth, d.ring), nil
+	runStages(&d.shell, ctx, src, push, fuse)
 }
 
 // Run tracks one trajectory per subject simultaneously for the
@@ -264,24 +184,6 @@ func (d *MultiDevice) Run(trajs ...motion.Trajectory) *MultiRunResult {
 	return res
 }
 
-// streamTo launches the pipeline over src in a goroutine and returns
-// the delivery channel, closed at end of stream or cancellation.
-func (d *MultiDevice) streamTo(ctx context.Context, src FrameSource) <-chan MultiSample {
-	out := make(chan MultiSample, pipelineDepth)
-	go func() {
-		defer close(out)
-		d.stream(ctx, src, func(s MultiSample) bool {
-			select {
-			case out <- s:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
-	return out
-}
-
 // Stream tracks one trajectory per subject and delivers k-person
 // samples as they are produced, in frame order — the streaming
 // counterpart of Run (bit-identical samples for a fixed seed). The
@@ -292,90 +194,15 @@ func (d *MultiDevice) Stream(ctx context.Context, trajs ...motion.Trajectory) (<
 	if err != nil {
 		return nil, err
 	}
-	return d.streamTo(ctx, src), nil
+	return deliver(ctx, src, d.stream), nil
 }
 
 // StreamFrom runs the k-person pipeline over an arbitrary frame source
 // (a recorded multi-person trace, a hardware front end) instead of the
 // built-in simulator.
 func (d *MultiDevice) StreamFrom(ctx context.Context, src FrameSource) (<-chan MultiSample, error) {
-	if got, want := src.NumRx(), len(d.cfg.Array.Rx); got != want {
-		return nil, fmt.Errorf("core: source has %d antennas, device array has %d", got, want)
+	if err := d.checkSource(src); err != nil {
+		return nil, err
 	}
-	return d.streamTo(ctx, src), nil
-}
-
-// TraceHeader returns the .wtrace header describing this device's
-// deployment — identical in shape to Device.TraceHeader; the subject
-// count is carried by the per-frame truth records (and, for scenario
-// captures, the embedded spec provenance).
-func (d *MultiDevice) TraceHeader() trace.Header {
-	return trace.Header{
-		Seed:     d.cfg.Seed,
-		Interval: d.cfg.Radio.FrameInterval(),
-		NumRx:    len(d.cfg.Array.Rx),
-		Bins:     d.cfg.Radio.RangeBins(),
-		Radio:    d.cfg.Radio,
-		Array:    d.cfg.Array,
-	}
-}
-
-// record simulates the trajectories and hands every materialized frame
-// to sink in frame order together with all subjects' ground truth —
-// the k-person counterpart of Device.record. The slices are reused
-// between calls; sink must consume them before returning.
-func (d *MultiDevice) record(trajs []motion.Trajectory,
-	sink func(frames []dsp.ComplexFrame, truths []motion.BodyState) error) error {
-	src, err := d.simSource(trajs)
-	if err != nil {
-		return err
-	}
-	nRx := len(d.cfg.Array.Rx)
-	scratch := make([]antennaScratch, nRx)
-	for a := range scratch {
-		scratch[a].prec = d.cfg.Precision
-	}
-	frames := make([]dsp.ComplexFrame, nRx)
-	for {
-		b := src.Next()
-		if b == nil {
-			return nil
-		}
-		for a := 0; a < nRx; a++ {
-			frames[a] = scratch[a].materialize(d.synth, d.prop, a, b)
-		}
-		if err := sink(frames, b.States); err != nil {
-			return err
-		}
-		src.Recycle(b)
-	}
-}
-
-// RecordTo simulates one trajectory per subject and streams every
-// per-antenna complex frame (plus all k ground-truth states) into tw —
-// MultiDevice's counterpart of Device.RecordTo, holding one frame in
-// memory at a time. The caller closes tw. Replaying the trace through
-// StreamFrom on a fresh identically-configured MultiDevice is
-// bit-identical to running the trajectories directly.
-func (d *MultiDevice) RecordTo(tw *trace.Writer, trajs ...motion.Trajectory) (int, error) {
-	n := 0
-	err := d.record(trajs, func(frames []dsp.ComplexFrame, truths []motion.BodyState) error {
-		if err := tw.WriteFrameTruths(frames, truths); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	return n, err
-}
-
-// Reset clears tracker and body-simulation state so the device can run
-// a fresh set of trajectories.
-func (d *MultiDevice) Reset() {
-	for _, tr := range d.trackers {
-		tr.Reset()
-	}
-	for _, s := range d.sims {
-		s.reset()
-	}
+	return deliver(ctx, src, d.stream), nil
 }

@@ -52,12 +52,16 @@ func multiGoldenHash(samples []MultiSample, k int) uint64 {
 }
 
 // twoPersonFixture builds the standard two-person test cell: empty
-// room, separate depth bands, panel subject B.
-func twoPersonFixture(t *testing.T, seed int64, duration float64) (*MultiDevice, motion.Trajectory, motion.Trajectory) {
+// room, separate depth bands, panel subject B. adjust, when non-nil,
+// edits the deployment before the device is built.
+func twoPersonFixture(t *testing.T, seed int64, duration float64, adjust func(*Config)) (*MultiDevice, motion.Trajectory, motion.Trajectory) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Seed = seed
 	cfg.Scene = rf.EmptyScene()
+	if adjust != nil {
+		adjust(&cfg)
+	}
 	subjectB := body.Panel(11, 5)[3]
 	dev, err := NewMultiDevice(cfg, subjectB)
 	if err != nil {
@@ -90,7 +94,7 @@ func TestGoldenMultiDeviceBitIdentical(t *testing.T) {
 		{seed: 29, duration: 5, frames: 401, hash: 0x9727576379ae5108},
 	}
 	for _, c := range cases {
-		dev, left, right := twoPersonFixture(t, c.seed, c.duration)
+		dev, left, right := twoPersonFixture(t, c.seed, c.duration, nil)
 		res := dev.Run(left, right)
 		if res.Frames != c.frames {
 			t.Fatalf("seed %d: %d frames, golden run had %d", c.seed, res.Frames, c.frames)
@@ -104,10 +108,10 @@ func TestGoldenMultiDeviceBitIdentical(t *testing.T) {
 // TestMultiStreamMatchesRun pins Stream as the streaming counterpart
 // of Run: same pipeline, bit-identical samples for a fixed seed.
 func TestMultiStreamMatchesRun(t *testing.T) {
-	devRun, left, right := twoPersonFixture(t, 41, 4)
+	devRun, left, right := twoPersonFixture(t, 41, 4, nil)
 	want := devRun.Run(left, right)
 
-	devStream, _, _ := twoPersonFixture(t, 41, 4)
+	devStream, _, _ := twoPersonFixture(t, 41, 4, nil)
 	ch, err := devStream.Stream(context.Background(), left, right)
 	if err != nil {
 		t.Fatal(err)
@@ -125,66 +129,93 @@ func TestMultiStreamMatchesRun(t *testing.T) {
 }
 
 // TestMultiRecordReplayMatchesLive extends the record/replay
-// bit-identity property to the k-person device: a two-person cell
-// recorded through MultiDevice.RecordTo and streamed back through
+// bit-identity property to the k-person device on every capture
+// encoding: a two-person cell recorded through RecordTo as range bins,
+// float64 sweeps or int16 ADC codes and streamed back through
 // TraceSource + StreamFrom must reproduce the live run exactly,
 // including both subjects' ground truth.
 func TestMultiRecordReplayMatchesLive(t *testing.T) {
-	recDev, left, right := twoPersonFixture(t, 53, 3)
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, recDev.TraceHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := recDev.RecordTo(tw, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	liveDev, _, _ := twoPersonFixture(t, 53, 3)
-	live := liveDev.Run(left, right)
-	if n != live.Frames {
-		t.Fatalf("recorded %d frames, live run produced %d", n, live.Frames)
-	}
-
-	replayDev, _, _ := twoPersonFixture(t, 53, 3)
-	tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewTraceSource(tr)
-	ch, err := replayDev.StreamFrom(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replayed []MultiSample
-	for s := range ch {
-		replayed = append(replayed, s)
-	}
-	if err := src.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(replayed) != len(live.Samples) {
-		t.Fatalf("replay produced %d samples, live %d", len(replayed), len(live.Samples))
-	}
-	for i := range live.Samples {
-		l, r := live.Samples[i], replayed[i]
-		if l.T != r.T || l.Valid != r.Valid || len(l.Pos) != len(r.Pos) || len(l.Truth) != len(r.Truth) {
-			t.Fatalf("sample %d shape diverged: live %+v, replay %+v", i, l, r)
+	// The sweep cases run the time-domain path on a radio shrunk like
+	// compactSweepConfig's, with the range kept long enough for the far
+	// walker, in the line-of-sight room: the ADC's full scale follows
+	// the static environment, and in an empty room the quantized run
+	// never reaches a joint fix.
+	compact := func(adcBits int) func(*Config) {
+		return func(cfg *Config) {
+			cfg.SlowSynth = true
+			cfg.Radio.SampleRate = 128e3
+			cfg.Radio.MaxRange = 18
+			cfg.Radio.SweepsPerFrame = 4
+			cfg.Radio.ADCBits = adcBits
+			cfg.Scene = rf.StandardScene(false)
 		}
-		for j := range l.Pos {
-			if l.Pos[j] != r.Pos[j] {
-				t.Fatalf("sample %d pos %d diverged: %v != %v", i, j, l.Pos[j], r.Pos[j])
+	}
+	for _, tc := range []struct {
+		name     string
+		adjust   func(*Config)
+		duration float64
+		sweeps   bool
+	}{
+		{name: "bins", duration: 3},
+		{name: "sweeps-float64", adjust: compact(0), duration: 1.5, sweeps: true},
+		{name: "sweeps-int16", adjust: compact(14), duration: 1.5, sweeps: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recDev, left, right := twoPersonFixture(t, 53, tc.duration, tc.adjust)
+			h := recDev.TraceHeader()
+			if tc.sweeps {
+				h = recDev.SweepTraceHeader()
 			}
-		}
-		for j := range l.Truth {
-			if l.Truth[j] != r.Truth[j] {
-				t.Fatalf("sample %d truth %d diverged: %v != %v", i, j, l.Truth[j], r.Truth[j])
+			var buf bytes.Buffer
+			tw, err := trace.NewWriter(&buf, h)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			n, err := recDev.RecordTo(tw, left, right)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tw.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			liveDev, _, _ := twoPersonFixture(t, 53, tc.duration, tc.adjust)
+			live := liveDev.Run(left, right)
+			if n != live.Frames {
+				t.Fatalf("recorded %d frames, live run produced %d", n, live.Frames)
+			}
+
+			replayDev, _, _ := twoPersonFixture(t, 53, tc.duration, tc.adjust)
+			tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := NewTraceSource(tr)
+			ch, err := replayDev.StreamFrom(context.Background(), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var replayed []MultiSample
+			for s := range ch {
+				replayed = append(replayed, s)
+			}
+			if err := src.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if len(replayed) != len(live.Samples) {
+				t.Fatalf("replay produced %d samples, live %d", len(replayed), len(live.Samples))
+			}
+			valid := 0
+			for i := range live.Samples {
+				if !multiSamplesEqual(live.Samples[i], replayed[i]) {
+					t.Fatalf("sample %d diverged:\n  live   %+v\n  replay %+v", i, live.Samples[i], replayed[i])
+				}
+				if live.Samples[i].Valid {
+					valid++
+				}
+			}
+			t.Logf("%d frames, %d joint fixes, %d B trace", n, valid, buf.Len())
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"witrack/internal/geom"
 	"witrack/internal/locate"
 	"witrack/internal/motion"
+	"witrack/internal/trace"
 	"witrack/internal/track"
 )
 
@@ -25,7 +27,7 @@ func serialRun(d *Device, traj motion.Trajectory) []Sample {
 	for i := 0; i < n; i++ {
 		t := float64(i) * interval
 		st := traj.At(t)
-		refl := d.reflectors(st)
+		refl := d.sims[0].reflectorsInto(nil, st, d.cfg.Array.Tx, nRx, interval)
 		frames := make([]dsp.ComplexFrame, nRx)
 		for k := 0; k < nRx; k++ {
 			paths := append([]fmcw.Path(nil), d.prop.StaticPaths(k)...)
@@ -132,17 +134,17 @@ func serialMultiRun(d *MultiDevice, trajA, trajB motion.Trajectory) []MultiSampl
 		dur = trajB.Duration()
 	}
 	var out []MultiSample
-	var prev [2]geom.Vec3
+	prev := make([]geom.Vec3, 2)
 	havePrev := false
 	n := frameCount(dur, interval)
 	for i := 0; i < n; i++ {
 		t := float64(i) * interval
 		stA := trajA.At(t)
 		stB := trajB.At(t)
-		reflA := d.sims[0].reflectors(stA, d.cfg.Array.Tx, nRx, interval)
-		reflB := d.sims[1].reflectors(stB, d.cfg.Array.Tx, nRx, interval)
+		reflA := d.sims[0].reflectorsInto(nil, stA, d.cfg.Array.Tx, nRx, interval)
+		reflB := d.sims[1].reflectorsInto(nil, stB, d.cfg.Array.Tx, nRx, interval)
 
-		pairs := make([][2]float64, nRx)
+		pairs := make([][]float64, nRx)
 		ok := true
 		for k := 0; k < nRx; k++ {
 			paths := append([]fmcw.Path(nil), d.prop.StaticPaths(k)...)
@@ -157,14 +159,14 @@ func serialMultiRun(d *MultiDevice, trajA, trajB motion.Trajectory) []MultiSampl
 				ok = false
 				continue
 			}
-			pairs[k] = [2]float64{ests[0].RoundTrip, ests[1].RoundTrip}
+			pairs[k] = []float64{ests[0].RoundTrip, ests[1].RoundTrip}
 		}
 		sample := MultiSample{T: t, Truth: []geom.Vec3{stA.Center, stB.Center}}
 		if ok {
-			if pos, err := locate.SolveTwo(d.locator, pairs, prev, havePrev); err == nil {
-				sample.Pos = pos[:]
+			if pos, err := locate.SolveK(d.locator, pairs, prev, havePrev); err == nil {
+				sample.Pos = pos
 				sample.Valid = true
-				prev = pos
+				copy(prev, pos)
 				havePrev = true
 			}
 		}
@@ -250,6 +252,8 @@ func TestStreamCancellation(t *testing.T) {
 // TestStreamFromRecorded replays captured frames through StreamFrom and
 // checks the result matches a live device consuming the same frames —
 // the recorded-trace/hardware seam the FrameSource interface exists for.
+// The frames are synthesized by hand here, not by the device's own
+// recorder, and reach the replaying device as an in-memory trace.
 func TestStreamFromRecorded(t *testing.T) {
 	traj := testWalk(4, 13)
 
@@ -257,14 +261,15 @@ func TestStreamFromRecorded(t *testing.T) {
 	capDev := newTestDevice(t, 31)
 	interval := capDev.cfg.Radio.FrameInterval()
 	nRx := len(capDev.cfg.Array.Rx)
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, capDev.TraceHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := frameCount(traj.Duration(), interval)
-	recorded := make([][]dsp.ComplexFrame, 0, n)
-	truths := make([]motion.BodyState, 0, n)
 	for i := 0; i < n; i++ {
-		ft := float64(i) * interval
-		st := traj.At(ft)
-		truths = append(truths, st)
-		refl := capDev.reflectors(st)
+		st := traj.At(float64(i) * interval)
+		refl := capDev.sims[0].reflectorsInto(nil, st, capDev.cfg.Array.Tx, nRx, interval)
 		frames := make([]dsp.ComplexFrame, nRx)
 		for k := 0; k < nRx; k++ {
 			paths := append([]fmcw.Path(nil), capDev.prop.StaticPaths(k)...)
@@ -273,7 +278,12 @@ func TestStreamFromRecorded(t *testing.T) {
 			}
 			frames[k] = capDev.synth.SynthesizeComplexFrame(paths, capDev.rng)
 		}
-		recorded = append(recorded, frames)
+		if err := tw.WriteFrame(frames, &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// A fresh, identically seeded device streaming the simulator...
@@ -283,15 +293,9 @@ func TestStreamFromRecorded(t *testing.T) {
 	}
 	// ...must match a device replaying the recording (tracker configs
 	// identical; the replay device's RNG is never touched).
-	src := &RecordedSource{Interval: interval, Frames: recorded, Truth: truths}
-	ch, err := newTestDevice(t, 99).StreamFrom(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replay []Sample
-	for s := range ch {
-		replay = append(replay, s)
-	}
+	replayCfg := DefaultConfig()
+	replayCfg.Seed = 99
+	replay := replayTraceBytes(t, replayCfg, buf.Bytes())
 	if len(replay) != len(live) {
 		t.Fatalf("replay produced %d samples, live %d", len(replay), len(live))
 	}
@@ -299,12 +303,6 @@ func TestStreamFromRecorded(t *testing.T) {
 		if replay[i] != live[i] {
 			t.Fatalf("replayed sample %d diverged:\n  replay %+v\n  live   %+v", i, replay[i], live[i])
 		}
-	}
-
-	// A mismatched antenna count must be reported, not silently empty.
-	bad := &RecordedSource{Interval: interval, Frames: [][]dsp.ComplexFrame{make([]dsp.ComplexFrame, nRx+1)}}
-	if _, err := newTestDevice(t, 99).StreamFrom(context.Background(), bad); err == nil {
-		t.Fatal("StreamFrom accepted a source with the wrong antenna count")
 	}
 }
 

@@ -1,160 +1,21 @@
 package core
 
 import (
-	"fmt"
-
-	"witrack/internal/dsp"
 	"witrack/internal/motion"
 	"witrack/internal/trace"
 )
 
-// record simulates the trajectory and hands every materialized frame to
-// sink in frame order, together with the frame's ground truth (nil when
-// the source carries none). The frames are exactly what the pipeline
-// workers would have produced — replaying them through StreamFrom on a
-// fresh identically-configured device is bit-identical to running the
-// trajectory directly. The frame slices are reused between calls; sink
-// must consume them before returning.
-func (d *Device) record(traj motion.Trajectory,
-	sink func(frames []dsp.ComplexFrame, truth *motion.BodyState) error) error {
-	src := d.simSource(traj)
-	nRx := len(d.cfg.Array.Rx)
-	scratch := make([]antennaScratch, nRx)
-	for k := range scratch {
-		scratch[k].prec = d.cfg.Precision
-	}
-	frames := make([]dsp.ComplexFrame, nRx)
-	for {
-		b := src.Next()
-		if b == nil {
-			return nil
-		}
-		for k := 0; k < nRx; k++ {
-			frames[k] = scratch[k].materialize(d.synth, d.prop, k, b)
-		}
-		var truth *motion.BodyState
-		if len(b.States) > 0 {
-			truth = &b.States[0]
-		}
-		if err := sink(frames, truth); err != nil {
-			return err
-		}
-		src.Recycle(b)
-	}
-}
-
-// RecordSweepsTo simulates the trajectory and streams every frame's raw
-// time-domain sweeps into tw as a sweep-domain trace (the header must
-// come from SweepTraceHeader). It requires SlowSynth — the fast path
-// synthesizes spectra directly and never materializes sweeps. The
-// samples written are bit-for-bit the sweeps a live SlowSynth run
-// processes (the RNG is consumed identically), so replaying the trace
-// through the window + RFFT + averaging path on a fresh device is
-// bit-identical to the live run — the sweep-domain leg of the
-// live == replay == served parity chain.
-func (d *Device) RecordSweepsTo(tw *trace.Writer, traj motion.Trajectory) (int, error) {
-	if !d.cfg.SlowSynth {
-		return 0, fmt.Errorf("core: sweep recording requires SlowSynth (the fast path never materializes time-domain sweeps)")
-	}
-	if d.cfg.Radio.ADCBits > 0 {
-		return 0, fmt.Errorf("core: device has ADCBits=%d; quantized sweeps record as int16 (use RecordSweepsInt16To)", d.cfg.Radio.ADCBits)
-	}
-	spf := d.cfg.Radio.SweepsPerFrame
-	ns := d.cfg.Radio.SamplesPerSweep()
-	if spf*ns%2 != 0 {
-		return 0, fmt.Errorf("core: %d sweeps × %d samples cannot pack into complex pairs", spf, ns)
-	}
-	bins := spf * ns / 2
-	nRx := len(d.cfg.Array.Rx)
-	packed := make([]dsp.ComplexFrame, nRx)
-	for k := range packed {
-		packed[k] = make(dsp.ComplexFrame, bins)
-	}
-	src := d.simSource(traj)
-	n := 0
-	for {
-		b := src.Next()
-		if b == nil {
-			return n, nil
-		}
-		for k := 0; k < nRx; k++ {
-			sw := b.sweeps[k]
-			dst := packed[k]
-			for i := 0; i < bins; i++ {
-				m := 2 * i
-				dst[i] = complex(sw[m/ns][m%ns], sw[(m+1)/ns][(m+1)%ns])
-			}
-		}
-		var truth *motion.BodyState
-		if len(b.States) > 0 {
-			truth = &b.States[0]
-		}
-		if err := tw.WriteFrame(packed, truth); err != nil {
-			return n, err
-		}
-		n++
-		src.Recycle(b)
-	}
-}
-
-// RecordSweepsInt16To simulates the trajectory and streams every
-// frame's quantized ADC codes into tw as an int16 sweep-domain trace
-// (the header must come from SweepTraceHeaderInt16). It requires
-// SlowSynth and Radio.ADCBits > 0: the source digitizes each sweep at
-// the configured resolution and the codes written here are bit-for-bit
-// the codes a live quantized run feeds its fused dequantize+window
-// kernels, so live == recorded == replayed holds by construction —
-// there is no separate "recording quantizer" to drift from the live
-// one. Delta coding plus gzip makes the result roughly 4x smaller than
-// the float64 sweep encoding of the same signal.
-func (d *Device) RecordSweepsInt16To(tw *trace.Writer, traj motion.Trajectory) (int, error) {
-	if !d.cfg.SlowSynth {
-		return 0, fmt.Errorf("core: sweep recording requires SlowSynth (the fast path never materializes time-domain sweeps)")
-	}
-	if d.cfg.Radio.ADCBits == 0 {
-		return 0, fmt.Errorf("core: int16 sweep recording requires Radio.ADCBits (the unquantized path records float64 sweeps; use RecordSweepsTo)")
-	}
-	src := d.simSource(traj)
-	n := 0
-	for {
-		b := src.Next()
-		if b == nil {
-			return n, nil
-		}
-		var truth *motion.BodyState
-		if len(b.States) > 0 {
-			truth = &b.States[0]
-		}
-		if err := tw.WriteFrameInt16(b.codes16, truth); err != nil {
-			return n, err
-		}
-		n++
-		src.Recycle(b)
-	}
-}
-
-// Record simulates the trajectory and captures every per-antenna
-// complex frame into a replayable RecordedSource, together with the
-// ground truth — the in-memory half of the record/replay loop
-// (RecordTo writes the on-disk .wtrace form; StreamFrom replays either).
+// SweepTraceHeaderInt16 is SweepTraceHeader, which stamps the int16
+// quantizer itself on a device with Radio.ADCBits.
 //
-// Recording consumes the device's simulation RNG just like a run does,
-// so use a fresh device for the capture and another fresh device for
-// the replay. The capture is memory heavy (one complex frame per
-// antenna per 12.5 ms of signal); keep trajectories short, or stream to
-// disk with RecordTo instead.
-func (d *Device) Record(traj motion.Trajectory) *RecordedSource {
-	rec := &RecordedSource{Interval: d.cfg.Radio.FrameInterval()}
-	d.record(traj, func(frames []dsp.ComplexFrame, truth *motion.BodyState) error {
-		cp := make([]dsp.ComplexFrame, len(frames))
-		for k, f := range frames {
-			cp[k] = append(dsp.ComplexFrame(nil), f...)
-		}
-		rec.Frames = append(rec.Frames, cp)
-		if truth != nil {
-			rec.Truth = append(rec.Truth, *truth)
-		}
-		return nil
-	})
-	return rec
+// Deprecated: use SweepTraceHeader. The perfbench module is the last
+// caller.
+func (d *Device) SweepTraceHeaderInt16() trace.Header { return d.SweepTraceHeader() }
+
+// RecordSweepsInt16To is RecordTo, which records int16 codes whenever
+// tw's header comes from SweepTraceHeader on a device with ADCBits.
+//
+// Deprecated: use RecordTo. The perfbench module is the last caller.
+func (d *Device) RecordSweepsInt16To(tw *trace.Writer, traj motion.Trajectory) (int, error) {
+	return d.RecordTo(tw, traj)
 }

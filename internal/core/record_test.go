@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"witrack/internal/motion"
+	"witrack/internal/trace"
 )
 
 // shortWalk is a small fixed-seed workload for record/replay tests.
@@ -24,129 +26,40 @@ func drain(ch <-chan Sample) []Sample {
 	return out
 }
 
-// TestRecordedSourceRoundTrip captures a run's frames, replays them
-// through StreamFrom on a fresh device, and requires the replayed
-// samples to be bit-identical to a direct run of the same trajectory —
-// the contract a trace recorder or a hardware front end relies on.
-func TestRecordedSourceRoundTrip(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 42
-
-	recDev, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj := shortWalk(t, cfg)
-	rec := recDev.Record(traj)
-	if len(rec.Frames) == 0 {
-		t.Fatal("recording captured no frames")
-	}
-	if got, want := rec.NumRx(), len(cfg.Array.Rx); got != want {
-		t.Fatalf("recording has %d antennas, want %d", got, want)
-	}
-	if len(rec.Truth) != len(rec.Frames) {
-		t.Fatalf("truth length %d != frames %d", len(rec.Truth), len(rec.Frames))
-	}
-
-	runDev, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := runDev.Run(traj).Samples
-
-	replayDev, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := replayDev.StreamFrom(context.Background(), rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := drain(ch)
-
-	if len(replayed) != len(direct) {
-		t.Fatalf("replay produced %d samples, direct run %d", len(replayed), len(direct))
-	}
-	for i := range direct {
-		if direct[i] != replayed[i] {
-			t.Fatalf("sample %d differs:\n direct %+v\n replay %+v", i, direct[i], replayed[i])
-		}
-	}
-
-	// A second replay of the same recording must also be bit-identical
-	// (the recording is immutable; Next's cursor is the only state).
-	rec2 := &RecordedSource{Interval: rec.Interval, Frames: rec.Frames, Truth: rec.Truth}
-	replayDev2, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch2, err := replayDev2.StreamFrom(context.Background(), rec2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed2 := drain(ch2)
-	if len(replayed2) != len(replayed) {
-		t.Fatalf("second replay produced %d samples, first %d", len(replayed2), len(replayed))
-	}
-	for i := range replayed {
-		if replayed[i] != replayed2[i] {
-			t.Fatalf("replays diverge at sample %d", i)
-		}
-	}
-}
-
-// TestRecordMatchesSlowSynth runs the same round trip over the
-// time-domain synthesis path: Record must capture the deferred
-// window+RFFT+average result, not the raw sweeps.
-func TestRecordMatchesSlowSynth(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow synthesis path")
-	}
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	cfg.SlowSynth = true
-
-	recDev, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj := motion.Stationary{Position: shortWalk(t, cfg).At(0).Center, Seconds: 1.5}
-	rec := recDev.Record(traj)
-
-	runDev, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := runDev.Run(traj).Samples
-
-	replayDev, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := replayDev.StreamFrom(context.Background(), rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := drain(ch)
-	if len(replayed) != len(direct) {
-		t.Fatalf("replay produced %d samples, direct run %d", len(replayed), len(direct))
-	}
-	for i := range direct {
-		if direct[i] != replayed[i] {
-			t.Fatalf("sample %d differs under slow synth", i)
-		}
-	}
-}
-
-// TestStreamFromRejectsAntennaMismatch pins the shape check.
+// TestStreamFromRejectsAntennaMismatch pins the shape check on both
+// device kinds: a source with one antenna more than the device's array
+// is refused up front instead of streaming misassigned frames.
 func TestStreamFromRejectsAntennaMismatch(t *testing.T) {
 	cfg := DefaultConfig()
 	dev, err := NewDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &RecordedSource{Interval: cfg.Radio.FrameInterval()}
-	if _, err := dev.StreamFrom(context.Background(), rec); err == nil {
-		t.Fatal("empty recording (0 antennas) should be rejected")
+	h := dev.TraceHeader()
+	h.NumRx++
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	source := func() FrameSource {
+		tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewTraceSource(tr)
+	}
+	if _, err := dev.StreamFrom(context.Background(), source()); err == nil {
+		t.Fatal("Device.StreamFrom accepted a source with the wrong antenna count")
+	}
+	multi, err := NewMultiDevice(cfg, cfg.Subject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := multi.StreamFrom(context.Background(), source()); err == nil {
+		t.Fatal("MultiDevice.StreamFrom accepted a source with the wrong antenna count")
 	}
 }

@@ -300,42 +300,3 @@ func (s *simSource) Next() *FrameBatch {
 	}
 	return b
 }
-
-// RecordedSource replays pre-captured per-antenna complex frames at a
-// fixed frame interval — the adapter shape an on-disk trace or a
-// hardware front end plugs into the pipeline with.
-type RecordedSource struct {
-	// Interval is the frame interval in seconds.
-	Interval float64
-	// Frames is indexed [frame][antenna].
-	Frames [][]dsp.ComplexFrame
-	// Truth optionally carries per-frame ground truth (may be nil).
-	Truth []motion.BodyState
-
-	i int
-}
-
-// NumRx returns the antenna count of the recording.
-func (r *RecordedSource) NumRx() int {
-	if len(r.Frames) == 0 {
-		return 0
-	}
-	return len(r.Frames[0])
-}
-
-// Next returns the next recorded batch, or nil when the trace ends.
-func (r *RecordedSource) Next() *FrameBatch {
-	if r.i >= len(r.Frames) {
-		return nil
-	}
-	i := r.i
-	r.i++
-	b := &FrameBatch{Index: i, T: float64(i) * r.Interval, Frames: r.Frames[i]}
-	if i < len(r.Truth) {
-		b.States = append(b.States, r.Truth[i])
-	}
-	return b
-}
-
-// Recycle is a no-op: the recording owns its frame buffers.
-func (r *RecordedSource) Recycle(*FrameBatch) {}

@@ -6,74 +6,8 @@ import (
 	"io"
 
 	"witrack/internal/dsp"
-	"witrack/internal/fmcw"
-	"witrack/internal/motion"
 	"witrack/internal/trace"
 )
-
-// TraceHeader returns the .wtrace header describing this device's
-// deployment: the sweep parameters, antenna geometry, seed, and frame
-// clock a replaying device needs to reproduce the recording conditions.
-func (d *Device) TraceHeader() trace.Header {
-	return trace.Header{
-		Seed:     d.cfg.Seed,
-		Interval: d.cfg.Radio.FrameInterval(),
-		NumRx:    len(d.cfg.Array.Rx),
-		Bins:     d.cfg.Radio.RangeBins(),
-		Radio:    d.cfg.Radio,
-		Array:    d.cfg.Array,
-	}
-}
-
-// SweepTraceHeader is TraceHeader for a sweep-domain capture: the
-// records hold raw time-domain sweeps packed pairwise into the complex
-// record layout (see trace.DomainSweeps), so a replay runs the full
-// window + RFFT + averaging path per frame instead of consuming
-// pre-transformed bins.
-func (d *Device) SweepTraceHeader() trace.Header {
-	h := d.TraceHeader()
-	h.Domain = trace.DomainSweeps
-	h.SweepsPerFrame = d.cfg.Radio.SweepsPerFrame
-	h.SamplesPerSweep = d.cfg.Radio.SamplesPerSweep()
-	h.Bins = h.SweepsPerFrame * h.SamplesPerSweep / 2
-	return h
-}
-
-// SweepTraceHeaderInt16 is SweepTraceHeader for a quantized capture
-// (Radio.ADCBits > 0): the records carry delta-coded int16 ADC codes
-// (trace.SampleInt16) instead of float64 samples, and the header stamps
-// the deployment's quantizer — the ADC resolution and the dequantization
-// scale derived from the loudest antenna's static environment, exactly
-// the scale the live pipeline quantizes with.
-func (d *Device) SweepTraceHeaderInt16() trace.Header {
-	h := d.SweepTraceHeader()
-	h.Bins = 0
-	h.Sample = trace.SampleInt16
-	h.ADCBits = d.cfg.Radio.ADCBits
-	h.ADCScale = fmcw.NewQuantizer(d.cfg.Radio.ADCBits,
-		adcFullScale(d.prop, len(d.cfg.Array.Rx), d.cfg.Radio.NoiseFloorWatts)).Scale()
-	return h
-}
-
-// RecordTo simulates the trajectory and streams every per-antenna
-// complex frame (plus ground truth) into tw — the on-disk counterpart
-// of Record, holding only one frame in memory at a time. It returns the
-// number of frames written. The caller closes tw (the trailer makes the
-// trace verifiable; an unclosed trace reads back as corrupt).
-//
-// Like Record, this consumes the device's simulation RNG exactly as a
-// live run would: record on a fresh device, replay on another.
-func (d *Device) RecordTo(tw *trace.Writer, traj motion.Trajectory) (int, error) {
-	n := 0
-	err := d.record(traj, func(frames []dsp.ComplexFrame, truth *motion.BodyState) error {
-		if err := tw.WriteFrame(frames, truth); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	return n, err
-}
 
 // TraceSource adapts a trace.Reader into the pipeline's FrameSource:
 // the on-disk replay path. Batches and their frame buffers are recycled
@@ -175,13 +109,28 @@ func (s *TraceSource) Next() *FrameBatch {
 	b.sweeps = nil
 	b.sweeps16 = nil
 	if s.r.Header().Domain == trace.DomainSweeps {
-		if err := s.unpackSweeps(b, frames); err != nil {
-			s.ring.put(b)
-			s.err = err
-			return nil
-		}
+		err = s.unpackSweeps(b, frames)
+	} else {
+		err = checkBins(frames, s.r.Header().Bins)
+	}
+	if err != nil {
+		s.ring.put(b)
+		s.err = err
+		return nil
 	}
 	return b
+}
+
+// checkBins rejects a bin-domain record whose per-antenna frames do not
+// all hold the header's bin count, so a short or long record ends the
+// replay with an error instead of reaching the trackers.
+func checkBins(frames []dsp.ComplexFrame, bins int) error {
+	for k, f := range frames {
+		if len(f) != bins {
+			return fmt.Errorf("core: bin-domain record for antenna %d has %d bins, header says %d", k, len(f), bins)
+		}
+	}
+	return nil
 }
 
 // nextInt16 decodes the next quantized sweep-domain batch: the reader

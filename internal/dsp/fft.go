@@ -8,41 +8,15 @@ package dsp
 import (
 	"math"
 	"math/bits"
-	"math/cmplx"
 )
 
-// FFT computes the in-place decimation-in-time radix-2 fast Fourier
-// transform of x. The length of x must be a power of two (use NextPow2 /
-// ZeroPad to arrange that, which is standard practice for FMCW sweep
-// processing). The transform is unnormalized: IFFT(FFT(x)) == len(x)*x
-// before the 1/N scaling applied by IFFT.
-//
-// FFT is a thin wrapper over the shared plan cache (see Plan / PlanFor):
-// the butterflies read exact precomputed twiddle tables instead of the
-// old numerically drifting w *= wBase recurrence. Repeated-transform
-// callers should hold a Plan directly and call Transform to skip the
-// cache lookup.
-func FFT(x []complex128) {
-	if len(x) == 0 {
-		return
-	}
-	PlanFor(len(x)).Transform(x)
-}
-
-// IFFT computes the inverse FFT in place, including the 1/N scaling.
-func IFFT(x []complex128) {
-	if len(x) == 0 {
-		return
-	}
-	PlanFor(len(x)).Inverse(x)
-}
-
 // DFT computes the discrete Fourier transform naively in O(n^2). It
-// exists as a correctness oracle for FFT in tests and works for any
-// length. The twiddles are read from a table indexed (k*t) mod n, which
-// keeps every evaluated angle inside [0, 2*pi) — more accurate than
-// evaluating the exponential at angles that grow with k*t, so the oracle
-// stays meaningful at the tight tolerances the planned FFT achieves.
+// exists as a correctness oracle for the planned FFT in tests and works
+// for any length. The twiddles are read from a table indexed (k*t) mod
+// n, which keeps every evaluated angle inside [0, 2*pi) — more accurate
+// than evaluating the exponential at angles that grow with k*t, so the
+// oracle stays meaningful at the tight tolerances the planned FFT
+// achieves.
 func DFT(x []complex128) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
@@ -76,29 +50,5 @@ func NextPow2(n int) int {
 func ZeroPad(x []complex128, n int) []complex128 {
 	out := make([]complex128, n)
 	copy(out, x)
-	return out
-}
-
-// RealFFTMag computes the magnitude spectrum of a real-valued signal:
-// the signal is windowed, zero-padded to the next power of two,
-// transformed with the real-input FFT (half the work of a complex
-// transform), and the magnitudes of the first nBins non-negative-
-// frequency bins are returned. This is exactly the per-sweep processing
-// step of the paper's §4.1 (the FFT "is typically taken over a duration
-// of one sweep").
-//
-// If window is nil a rectangular window is used. nBins may not exceed
-// half the padded length + 1.
-func RealFFTMag(signal []float64, window []float64, nBins int) []float64 {
-	n := NextPow2(len(signal))
-	p := PlanFor(n)
-	buf := p.RealTransform(make([]complex128, n/2+1), signal, window)
-	if max := n/2 + 1; nBins > max {
-		nBins = max
-	}
-	out := make([]float64, nBins)
-	for i := 0; i < nBins; i++ {
-		out[i] = cmplx.Abs(buf[i])
-	}
 	return out
 }

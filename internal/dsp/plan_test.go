@@ -72,8 +72,8 @@ func TestPlanSizeMismatchPanics(t *testing.T) {
 	p.Transform(make([]complex128, 4))
 }
 
-// TestRealTransformMatchesComplexFFT is the ISSUE's core property: for
-// any real input, RFFT(x) must equal FFT(complex(x)) on the
+// TestRealTransformMatchesComplexFFT is the real-input transform's core
+// property: for any real input, RFFT(x) must equal FFT(complex(x)) on the
 // non-negative-frequency bins, across sizes, zero-padding amounts, and
 // windows.
 func TestRealTransformMatchesComplexFFT(t *testing.T) {
@@ -100,7 +100,7 @@ func TestRealTransformMatchesComplexFFT(t *testing.T) {
 			}
 			ref[i] = complex(v, 0)
 		}
-		FFT(ref)
+		PlanFor(n).Transform(ref)
 		got := PlanFor(n).RealTransform(nil, sig, window)
 		if len(got) != n/2+1 {
 			return false
@@ -130,7 +130,7 @@ func TestRealTransformConjugateSymmetryIsExactlyRedundant(t *testing.T) {
 	for i, v := range sig {
 		full[i] = complex(v, 0)
 	}
-	FFT(full)
+	PlanFor(n).Transform(full)
 	half := PlanFor(n).RealTransform(nil, sig, nil)
 	for k := 1; k < n/2; k++ {
 		if !complexClose(cmplx.Conj(half[k]), full[n-k], 1e-10) {
@@ -221,28 +221,6 @@ func TestPlanTransformsAllocateNothing(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, func() { dst = p.RealTransform(dst, sig, w) }); a != 0 {
 		t.Fatalf("RealTransform allocates %v per run", a)
-	}
-}
-
-// TestLegacyFFTReadsPlanTables pins the satellite fix: the legacy FFT
-// entry point must produce exactly the planned transform's output (same
-// tables, no recurrence), so every historical call site inherited the
-// precision fix.
-func TestLegacyFFTReadsPlanTables(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	n := 2048
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	viaLegacy := append([]complex128(nil), x...)
-	FFT(viaLegacy)
-	viaPlan := append([]complex128(nil), x...)
-	PlanFor(n).Transform(viaPlan)
-	for i := range viaPlan {
-		if viaLegacy[i] != viaPlan[i] {
-			t.Fatalf("bin %d: legacy %v != planned %v", i, viaLegacy[i], viaPlan[i])
-		}
 	}
 }
 

@@ -552,11 +552,11 @@ func timeInt16Replay(duration float64, seed int64) (fps, allocsPerFrame, bytesPe
 	walk := motion.NewRandomWalk(motion.DefaultWalkConfig(
 		Region(), cfg.Subject.CenterHeight(), duration, seed+1))
 	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, rec.SweepTraceHeaderInt16())
+	tw, err := trace.NewWriter(&buf, rec.SweepTraceHeader())
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	frames, err := rec.RecordSweepsInt16To(tw, walk)
+	frames, err := rec.RecordTo(tw, walk)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -460,7 +460,7 @@ func TestSweepsIntoMatchesLegacyComplexFFT(t *testing.T) {
 		for i, v := range sw {
 			buf[i] = complex(v*w[i], 0)
 		}
-		dsp.FFT(buf)
+		dsp.PlanFor(n).Transform(buf)
 		for i := 0; i < nb; i++ {
 			want[i] += buf[i]
 		}

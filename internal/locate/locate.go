@@ -26,15 +26,12 @@ type Locator struct {
 	MaxRange float64
 
 	// geo is the per-frame geometric solver with its reused workspace;
-	// r is round-trip scratch, ks the SolveK assignment workspace, and
-	// pair2/prev2 the SolveTwo wrapper's conversion scratch. All are
-	// created lazily so a hand-constructed Locator{Array: ...} keeps
-	// working.
-	geo   *geom.Solver
-	r     []float64
-	ks    kScratch
-	pair2 [][]float64
-	prev2 []geom.Vec3
+	// r is round-trip scratch and ks the SolveK assignment workspace.
+	// All are created lazily so a hand-constructed Locator{Array: ...}
+	// keeps working.
+	geo *geom.Solver
+	r   []float64
+	ks  kScratch
 
 	// subs caches the degraded-mode sub-array locators by antenna
 	// bitmask, and subEsts is SolveMasked's estimate-compaction scratch.

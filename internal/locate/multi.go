@@ -21,37 +21,6 @@ const (
 // this many (k=3 on 3 antennas is 216; k=4 on 4 antennas is ~330k).
 const maxJointAssignments = 1 << 20
 
-// SolveTwo resolves the §10 two-person ambiguity: each receive antenna
-// reports two round-trip distances but not which person produced which.
-// It is a thin wrapper over SolveK with k=2 — the wrapper is proven
-// bit-identical to the historical 2^nRx bitmask enumeration by
-// TestSolveKMatchesBitmaskReference.
-func SolveTwo(l *Locator, r [][2]float64, prev [2]geom.Vec3, havePrev bool) ([2]geom.Vec3, error) {
-	nRx := len(l.Array.Rx)
-	if len(r) != nRx {
-		return [2]geom.Vec3{}, errors.New("locate: SolveTwo needs one TOF pair per antenna")
-	}
-	if len(l.pair2) != nRx {
-		l.pair2 = make([][]float64, nRx)
-		buf := make([]float64, 2*nRx)
-		for k := range l.pair2 {
-			l.pair2[k] = buf[2*k : 2*k+2 : 2*k+2]
-		}
-	}
-	for k := range r {
-		l.pair2[k][0], l.pair2[k][1] = r[k][0], r[k][1]
-	}
-	if len(l.prev2) != 2 {
-		l.prev2 = make([]geom.Vec3, 2)
-	}
-	l.prev2[0], l.prev2[1] = prev[0], prev[1]
-	pos, err := SolveK(l, l.pair2, l.prev2, havePrev)
-	if err != nil {
-		return [2]geom.Vec3{}, err
-	}
-	return [2]geom.Vec3{pos[0], pos[1]}, nil
-}
-
 // kScratch is SolveK's reusable workspace (per Locator, single
 // goroutine — the pipeline's fusion stage).
 type kScratch struct {

@@ -9,10 +9,10 @@ import (
 )
 
 // solveTwoBitmaskReference is the historical two-person solver: the
-// 2^nRx bitmask enumeration SolveTwo shipped with before SolveK
-// subsumed it. It is kept verbatim as the oracle for the wrapper's
-// bit-identity guarantee.
-func solveTwoBitmaskReference(l *Locator, r [][2]float64, prev [2]geom.Vec3, havePrev bool) ([2]geom.Vec3, error) {
+// 2^nRx bitmask enumeration the two-person path shipped with before
+// SolveK subsumed it. It is kept verbatim as the oracle for SolveK's
+// k=2 bit-identity guarantee.
+func solveTwoBitmaskReference(l *Locator, r [][]float64, prev []geom.Vec3, havePrev bool) ([2]geom.Vec3, error) {
 	nRx := len(l.Array.Rx)
 	if len(r) != nRx {
 		return [2]geom.Vec3{}, ErrImplausible
@@ -52,8 +52,8 @@ func solveTwoBitmaskReference(l *Locator, r [][2]float64, prev [2]geom.Vec3, hav
 	return bestPair, nil
 }
 
-// TestSolveKMatchesBitmaskReference drives SolveTwo (now a SolveK
-// wrapper) and the historical bitmask enumeration over randomized
+// TestSolveKMatchesBitmaskReference drives SolveK at k=2 and the
+// historical bitmask enumeration over randomized
 // fixtures — noisy measurements, scrambled slots, with and without
 // continuity — and requires bit-identical outputs, including matching
 // error outcomes. This is the k=2 equivalence seam of the k-target
@@ -73,21 +73,21 @@ func TestSolveKMatchesBitmaskReference(t *testing.T) {
 		pB := geom.Vec3{X: -3 + 6*rng.Float64(), Y: 1 + 8*rng.Float64(), Z: 0.3 + 1.5*rng.Float64()}
 		rA := arr.RoundTrips(pA)
 		rB := arr.RoundTrips(pB)
-		pairs := make([][2]float64, len(rA))
+		pairs := make([][]float64, len(rA))
 		for k := range pairs {
 			a := rA[k] + rng.NormFloat64()*0.05
 			b := rB[k] + rng.NormFloat64()*0.05
 			if rng.Intn(2) == 0 {
 				a, b = b, a // scramble the slot assignment
 			}
-			pairs[k] = [2]float64{a, b}
+			pairs[k] = []float64{a, b}
 		}
 		havePrev := trial%2 == 0
-		prev := [2]geom.Vec3{
+		prev := []geom.Vec3{
 			pA.Add(geom.Vec3{X: rng.NormFloat64() * 0.3, Y: rng.NormFloat64() * 0.3}),
 			pB.Add(geom.Vec3{X: rng.NormFloat64() * 0.3, Y: rng.NormFloat64() * 0.3}),
 		}
-		got, errK := SolveTwo(lK, pairs, prev, havePrev)
+		got, errK := SolveK(lK, pairs, prev, havePrev)
 		want, errRef := solveTwoBitmaskReference(lRef, pairs, prev, havePrev)
 		if (errK == nil) != (errRef == nil) {
 			t.Fatalf("trial %d: error mismatch: SolveK %v, reference %v", trial, errK, errRef)
@@ -232,12 +232,12 @@ func TestSolveTwoRecoversBothPositions(t *testing.T) {
 	rA := arr.RoundTrips(pA)
 	rB := arr.RoundTrips(pB)
 	// Scramble the per-antenna slot assignment deliberately.
-	pairs := [][2]float64{
+	pairs := [][]float64{
 		{rA[0], rB[0]},
 		{rB[1], rA[1]},
 		{rB[2], rA[2]},
 	}
-	got, err := SolveTwo(l, pairs, [2]geom.Vec3{}, false)
+	got, err := SolveK(l, pairs, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestSolveTwoRecoversBothPositions(t *testing.T) {
 	d0 := got[0].Dist(pA) + got[1].Dist(pB)
 	d1 := got[0].Dist(pB) + got[1].Dist(pA)
 	if d0 > 1e-3 && d1 > 1e-3 {
-		t.Fatalf("SolveTwo = %v / %v, want %v and %v", got[0], got[1], pA, pB)
+		t.Fatalf("SolveK = %v / %v, want %v and %v", got[0], got[1], pA, pB)
 	}
 }
 
@@ -254,15 +254,15 @@ func TestSolveTwoContinuityBreaksTies(t *testing.T) {
 	l, _ := New(arr)
 	pA := geom.Vec3{X: -1.5, Y: 4, Z: 1.0}
 	pB := geom.Vec3{X: 2, Y: 6.5, Z: 1.2}
-	pairs := make([][2]float64, 3)
+	pairs := make([][]float64, 3)
 	rA := arr.RoundTrips(pA)
 	rB := arr.RoundTrips(pB)
 	for k := 0; k < 3; k++ {
-		pairs[k] = [2]float64{rA[k], rB[k]}
+		pairs[k] = []float64{rA[k], rB[k]}
 	}
 	// With previous positions provided, the output ordering should match
 	// them.
-	got, err := SolveTwo(l, pairs, [2]geom.Vec3{pB, pA}, true)
+	got, err := SolveK(l, pairs, []geom.Vec3{pB, pA}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,12 +274,12 @@ func TestSolveTwoContinuityBreaksTies(t *testing.T) {
 func TestSolveTwoRejectsBadInput(t *testing.T) {
 	arr := geom.NewTArray(1, 1.5)
 	l, _ := New(arr)
-	if _, err := SolveTwo(l, make([][2]float64, 2), [2]geom.Vec3{}, false); err == nil {
+	if _, err := SolveK(l, [][]float64{{1, 2}, {1, 2}}, nil, false); err == nil {
 		t.Fatal("wrong pair count should error")
 	}
 	// Geometrically impossible TOFs (below focal distance) on every combo.
-	pairs := [][2]float64{{0.1, 0.2}, {0.1, 0.2}, {0.1, 0.2}}
-	if _, err := SolveTwo(l, pairs, [2]geom.Vec3{}, false); err == nil {
+	pairs := [][]float64{{0.1, 0.2}, {0.1, 0.2}, {0.1, 0.2}}
+	if _, err := SolveK(l, pairs, nil, false); err == nil {
 		t.Fatal("infeasible TOFs should error")
 	}
 }

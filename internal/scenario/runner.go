@@ -104,13 +104,20 @@ type cellOutcome struct {
 
 	fall  *FallStudyOutcome
 	point *PointingOutcome
+
+	// onFix, when non-nil, sees every fix as it is scored (see
+	// ReplayOptions.Observe).
+	onFix func(ReplayFix)
 }
 
-// observe feeds one sample's validity/degradation into the robustness
-// tallies. acquired/outage are the caller's loop state: whether a first
-// fix has happened, and the length of the current invalid run.
-func (out *cellOutcome) observe(valid, degraded bool, acquired *bool, outage *int) {
-	if !valid {
+// observe feeds one sample's fix into the robustness tallies and the
+// onFix hook. acquired/outage are the caller's loop state: whether a
+// first fix has happened, and the length of the current invalid run.
+func (out *cellOutcome) observe(fix ReplayFix, acquired *bool, outage *int) {
+	if out.onFix != nil {
+		out.onFix(fix)
+	}
+	if !fix.Valid {
 		if *acquired {
 			if *outage == 0 {
 				out.outageSpans++
@@ -125,7 +132,7 @@ func (out *cellOutcome) observe(valid, degraded bool, acquired *bool, outage *in
 		*outage = 0
 	}
 	*acquired = true
-	if degraded {
+	if fix.Degraded {
 		out.degraded++
 	}
 }
@@ -273,35 +280,31 @@ func runCell(ctx context.Context, sp *Spec, deviceIndex int, timing bool) (*cell
 	return out, nil
 }
 
-// runTrackingCell streams the cell's trajectory (or two-person pair)
-// through the pipeline and collects localization errors.
+// runTrackingCell streams the cell's trajectory (or one trajectory per
+// person on a k-person cell) through the pipeline and collects
+// localization errors.
 func runTrackingCell(ctx context.Context, sp *Spec, deviceIndex int, out *cellOutcome) error {
 	c, err := Compile(sp, deviceIndex)
 	if err != nil {
 		return err
 	}
-
-	if len(c.Trajectories) >= 2 {
-		return runMultiPersonCell(ctx, c, out)
-	}
-
-	dev, err := core.NewDevice(c.Config)
+	dev, _, err := newCellDevice(c)
 	if err != nil {
 		return err
 	}
-	dev.Workers = c.Workers
-	if c.CalibrateFrames > 0 {
-		dev.CalibrateBackground(c.CalibrateFrames)
-	}
-	if c.Faults != nil {
-		if err := dev.InjectFaults(*c.Faults); err != nil {
+	// The cell consumes Stream — the production API — rather than the
+	// batch Run, so the scenario matrix exercises exactly the code path
+	// a live deployment uses.
+	switch d := dev.(type) {
+	case *core.MultiDevice:
+		ch, err := d.Stream(ctx, c.Trajectories...)
+		if err != nil {
 			return err
 		}
+		scoreMultiStream(ch, out)
+	case *core.Device:
+		scoreTrackingStream(d.Stream(ctx, c.Trajectories[0]), c, out)
 	}
-	// The cell consumes Device.Stream — the production API — rather
-	// than the batch Run, so the scenario matrix exercises exactly the
-	// code path a live deployment uses.
-	scoreTrackingStream(dev.Stream(ctx, c.Trajectories[0]), c, out)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -318,7 +321,7 @@ func scoreTrackingStream(ch <-chan core.Sample, c *Compiled, out *cellOutcome) {
 	acquired, outage := false, 0
 	for s := range ch {
 		out.frames++
-		out.observe(s.Valid, s.Degraded, &acquired, &outage)
+		out.observe(ReplayFix{T: s.T, Pos: s.Pos, Valid: s.Valid, Degraded: s.Degraded}, &acquired, &outage)
 		if !s.Valid {
 			continue
 		}
@@ -336,33 +339,6 @@ func scoreTrackingStream(ch <-chan core.Sample, c *Compiled, out *cellOutcome) {
 	out.res.Metrics = trackingMetrics(out)
 }
 
-// runMultiPersonCell runs the generalized §10 k-person extension on
-// the streaming pipeline and scores the per-frame optimal assignment.
-func runMultiPersonCell(ctx context.Context, c *Compiled, out *cellOutcome) error {
-	dev, err := core.NewMultiDevice(c.Config, c.Subjects[1:]...)
-	if err != nil {
-		return err
-	}
-	dev.Workers = c.Workers
-	if c.Faults != nil {
-		if err := dev.InjectFaults(*c.Faults); err != nil {
-			return err
-		}
-	}
-	ch, err := dev.Stream(ctx, c.Trajectories...)
-	if err != nil {
-		return err
-	}
-	scoreMultiStream(ch, out)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if c.Faults != nil {
-		out.recordFaults(dev.FaultStats())
-	}
-	return nil
-}
-
 // scoreMultiStream drains a k-person sample stream and accumulates the
 // cell's per-person plan-view errors under the per-frame optimal
 // assignment (an OSPA-style metric: the radio has no identities, so
@@ -373,7 +349,11 @@ func scoreMultiStream(ch <-chan core.MultiSample, out *cellOutcome) {
 	acquired, outage := false, 0
 	for s := range ch {
 		out.frames++
-		out.observe(s.Valid, s.Degraded, &acquired, &outage)
+		fix := ReplayFix{T: s.T, Valid: s.Valid, Degraded: s.Degraded}
+		if len(s.Pos) > 0 {
+			fix.Pos = s.Pos[0]
+		}
+		out.observe(fix, &acquired, &outage)
 		if !s.Valid {
 			continue
 		}

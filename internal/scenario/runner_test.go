@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"witrack/internal/core"
+	"witrack/internal/trace"
 )
 
 // quickMatrix is a reduced matrix for tests: one tracking fleet (two
@@ -154,11 +156,7 @@ func TestFleetConcurrentMultiDevice(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			out := &cellOutcome{}
-			c, err := Compile(&sp, 0)
-			if err == nil {
-				err = runMultiPersonCell(context.Background(), c, out)
-			}
-			results[i], errs[i] = out, err
+			results[i], errs[i] = out, runTrackingCell(context.Background(), &sp, 0, out)
 		}(i)
 	}
 	wg.Wait()
@@ -190,7 +188,17 @@ func TestScenarioCaptureReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := recDev.Record(c.Trajectories[0])
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, recDev.TraceHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recDev.RecordTo(tw, c.Trajectories[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	directDev, err := core.NewDevice(c.Config)
 	if err != nil {
@@ -202,13 +210,21 @@ func TestScenarioCaptureReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := replayDev.StreamFrom(context.Background(), rec)
+	tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := core.NewTraceSource(tr)
+	ch, err := replayDev.StreamFrom(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var replayed []core.Sample
 	for s := range ch {
 		replayed = append(replayed, s)
+	}
+	if err := src.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if len(replayed) != len(direct) {
 		t.Fatalf("replay %d samples vs direct %d", len(replayed), len(direct))

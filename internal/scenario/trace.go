@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"witrack/internal/core"
+	"witrack/internal/fault"
 	"witrack/internal/geom"
+	"witrack/internal/motion"
 	"witrack/internal/trace"
 )
 
@@ -28,58 +30,18 @@ func (s *Spec) Recordable() error {
 // RecordCell captures one scenario × device cell into w as a .wtrace:
 // it compiles the cell, reproduces the runner's device setup (including
 // background calibration, which consumes the simulation RNG exactly as
-// a live run would), and streams every per-antenna frame plus ground
-// truth to disk — multi-person cells record on MultiDevice with one
-// truth record per subject. The trace header carries the scenario spec
-// verbatim, so ReplayTrace can rebuild the identical deployment.
-// Returns the number of frames captured and the encoded record-stream
-// size before compression (the numerator of the trace's compression
-// ratio; w receives the compressed bytes).
+// a live run would), and streams every frame plus ground truth to disk
+// — multi-person cells record on MultiDevice with one truth record per
+// subject. Frames are pre-transformed range bins, except on a cell whose
+// radio models an ADC (Radio.ADCBits > 0): its frames are the quantized
+// int16 sweeps, the only form ReplayTrace accepts for such a cell. The
+// trace header carries the scenario spec verbatim, so ReplayTrace can
+// rebuild the identical deployment. Returns the number of frames
+// captured and the encoded record-stream size before compression (the
+// numerator of the trace's compression ratio; w receives the compressed
+// bytes).
 func RecordCell(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error) {
-	if err := sp.Recordable(); err != nil {
-		return 0, 0, err
-	}
-	c, err := Compile(sp, deviceIndex)
-	if err != nil {
-		return 0, 0, err
-	}
-
-	var h trace.Header
-	var record func(tw *trace.Writer) (int, error)
-	if len(c.Trajectories) >= 2 {
-		dev, err := core.NewMultiDevice(c.Config, c.Subjects[1:]...)
-		if err != nil {
-			return 0, 0, err
-		}
-		h = dev.TraceHeader()
-		record = func(tw *trace.Writer) (int, error) { return dev.RecordTo(tw, c.Trajectories...) }
-	} else {
-		dev, err := core.NewDevice(c.Config)
-		if err != nil {
-			return 0, 0, err
-		}
-		if c.CalibrateFrames > 0 {
-			dev.CalibrateBackground(c.CalibrateFrames)
-		}
-		h = dev.TraceHeader()
-		record = func(tw *trace.Writer) (int, error) { return dev.RecordTo(tw, c.Trajectories[0]) }
-	}
-	h.Name = sp.Name
-	h.DeviceIndex = deviceIndex
-	h.CalibrateFrames = c.CalibrateFrames
-	if h.Scenario, err = json.Marshal(sp); err != nil {
-		return 0, 0, fmt.Errorf("scenario %q: encoding provenance: %w", sp.Name, err)
-	}
-	tw, err := trace.NewWriter(w, h)
-	if err != nil {
-		return 0, 0, err
-	}
-	n, err := record(tw)
-	if err != nil {
-		tw.Close()
-		return n, tw.RawBytes(), err
-	}
-	return n, tw.RawBytes(), tw.Close()
+	return recordCell(sp, deviceIndex, w, false)
 }
 
 // RecordCellSweeps is RecordCell for the sweep domain: it captures the
@@ -88,13 +50,15 @@ func RecordCell(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error) {
 // RFFT + averaging path per frame — the workload the cross-session
 // batch scheduler coalesces. A cell with Radio.ADCBits set records the
 // quantized int16 ADC codes (trace.SampleInt16, roughly 4x smaller
-// compressed) instead of float64 samples; either way the same
-// provenance header RecordCell writes lets ReplayTrace rebuild the
-// identical deployment. It requires a single-trajectory SlowSynth cell
-// (the fast path never materializes sweeps). Returns the number of
-// frames captured and the encoded record-stream size before
-// compression.
+// compressed) instead of float64 samples. It requires a SlowSynth cell
+// (the fast path never materializes sweeps).
 func RecordCellSweeps(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error) {
+	return recordCell(sp, deviceIndex, w, true)
+}
+
+// recordCell is RecordCell and RecordCellSweeps, which differ only in
+// the trace header they open.
+func recordCell(sp *Spec, deviceIndex int, w io.Writer, sweeps bool) (int, int64, error) {
 	if err := sp.Recordable(); err != nil {
 		return 0, 0, err
 	}
@@ -102,23 +66,12 @@ func RecordCellSweeps(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(c.Trajectories) != 1 {
-		return 0, 0, fmt.Errorf("scenario %q: sweep recording supports single-trajectory cells only (%d trajectories)",
-			sp.Name, len(c.Trajectories))
-	}
-	dev, err := core.NewDevice(c.Config)
+	dev, _, err := newCellDevice(c)
 	if err != nil {
 		return 0, 0, err
 	}
-	if c.CalibrateFrames > 0 {
-		dev.CalibrateBackground(c.CalibrateFrames)
-	}
-	var h trace.Header
-	record := dev.RecordSweepsTo
-	if c.Config.Radio.ADCBits > 0 {
-		h = dev.SweepTraceHeaderInt16()
-		record = dev.RecordSweepsInt16To
-	} else {
+	h := dev.TraceHeader()
+	if sweeps || c.Config.Radio.ADCBits > 0 {
 		h = dev.SweepTraceHeader()
 	}
 	h.Name = sp.Name
@@ -131,12 +84,57 @@ func RecordCellSweeps(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error
 	if err != nil {
 		return 0, 0, err
 	}
-	n, err := record(tw, c.Trajectories[0])
+	// A chaos cell's fault schedule never touches the capture: RecordTo
+	// writes the clean stream, and ReplayTrace re-arms the schedule.
+	n, err := dev.RecordTo(tw, c.Trajectories...)
 	if err != nil {
 		tw.Close()
 		return n, tw.RawBytes(), err
 	}
 	return n, tw.RawBytes(), tw.Close()
+}
+
+// cellDevice is what recording and replaying a cell need of either
+// device kind; every method comes from the shell the two share.
+type cellDevice interface {
+	TraceHeader() trace.Header
+	SweepTraceHeader() trace.Header
+	RecordTo(tw *trace.Writer, trajs ...motion.Trajectory) (int, error)
+	InjectFaults(s fault.Schedule) error
+	FaultStats() fault.Stats
+	RunError() error
+}
+
+// newCellDevice builds a compiled cell's device — a MultiDevice for a
+// k-person cell, otherwise a Device with the cell's background
+// calibration installed — with its fault schedule armed, and returns it
+// with its pipeline settings.
+func newCellDevice(c *Compiled) (cellDevice, *core.PipelineConfig, error) {
+	var dev cellDevice
+	var pc *core.PipelineConfig
+	if len(c.Trajectories) >= 2 {
+		md, err := core.NewMultiDevice(c.Config, c.Subjects[1:]...)
+		if err != nil {
+			return nil, nil, err
+		}
+		dev, pc = md, &md.PipelineConfig
+	} else {
+		d, err := core.NewDevice(c.Config)
+		if err != nil {
+			return nil, nil, err
+		}
+		if c.CalibrateFrames > 0 {
+			d.CalibrateBackground(c.CalibrateFrames)
+		}
+		dev, pc = d, &d.PipelineConfig
+	}
+	pc.Workers = c.Workers
+	if c.Faults != nil {
+		if err := dev.InjectFaults(*c.Faults); err != nil {
+			return nil, nil, err
+		}
+	}
+	return dev, pc, nil
 }
 
 // ReplayResult is one replayed trace's outcome — the snapshot unit the
@@ -289,80 +287,54 @@ func ReplayTraceOpts(ctx context.Context, r io.Reader, opts ReplayOptions) (*Rep
 		return nil, fmt.Errorf("scenario %q: provenance compiles to ADCBits=%d, trace sample encoding is %q", sp.Name, c.Config.Radio.ADCBits, h.Sample)
 	}
 
-	workers := c.Workers
-	if opts.Workers > 0 {
-		workers = opts.Workers
+	dev, pc, err := newCellDevice(c)
+	if err != nil {
+		return nil, err
 	}
+	// The replaying device must read the trace in the shape it would have
+	// recorded it: a bin count, sweep shape or quantizer scale (derived
+	// from the deployment's static environment) that differs from what
+	// the provenance compiles to would mis-size or mis-dequantize every
+	// frame.
+	want := dev.TraceHeader()
+	if h.Domain == trace.DomainSweeps {
+		want = dev.SweepTraceHeader()
+	}
+	if h.Bins != want.Bins {
+		return nil, fmt.Errorf("scenario %q: provenance compiles to %d bins per record, trace header says %d", sp.Name, want.Bins, h.Bins)
+	}
+	if h.ADCScale != want.ADCScale {
+		return nil, fmt.Errorf("scenario %q: provenance compiles to ADC scale %g, trace recorded %g", sp.Name, want.ADCScale, h.ADCScale)
+	}
+	if opts.Workers > 0 {
+		pc.Workers = opts.Workers
+	}
+	pc.Pool = opts.Pool
+	pc.Batch = opts.Batch
+	pc.FrameDeadline = opts.FrameDeadline
+
 	src := core.NewTraceSourceArena(tr, opts.Arena)
-	out := &cellOutcome{}
-	var runErr func() error
-	if len(c.Trajectories) >= 2 {
-		dev, err := core.NewMultiDevice(c.Config, c.Subjects[1:]...)
+	out := &cellOutcome{onFix: opts.Observe}
+	switch d := dev.(type) {
+	case *core.MultiDevice:
+		ch, err := d.StreamFrom(ctx, src)
 		if err != nil {
 			return nil, err
-		}
-		dev.Workers = workers
-		dev.Pool = opts.Pool
-		dev.Batch = opts.Batch
-		dev.FrameDeadline = opts.FrameDeadline
-		if c.Faults != nil {
-			if err := dev.InjectFaults(*c.Faults); err != nil {
-				return nil, err
-			}
-		}
-		ch, err := dev.StreamFrom(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Observe != nil {
-			ch = teeMulti(ch, opts.Observe)
 		}
 		scoreMultiStream(ch, out)
-		if c.Faults != nil {
-			out.recordFaults(dev.FaultStats())
-		}
-		runErr = dev.RunError
-	} else {
-		dev, err := core.NewDevice(c.Config)
+	case *core.Device:
+		ch, err := d.StreamFrom(ctx, src)
 		if err != nil {
 			return nil, err
-		}
-		// The quantizer scale is derived from the deployment's static
-		// environment; a trace whose recorded scale no longer matches what
-		// the provenance compiles to would dequantize every code wrong.
-		if h.Sample == trace.SampleInt16 {
-			if got := dev.SweepTraceHeaderInt16().ADCScale; got != h.ADCScale {
-				return nil, fmt.Errorf("scenario %q: provenance compiles to ADC scale %g, trace recorded %g", sp.Name, got, h.ADCScale)
-			}
-		}
-		dev.Workers = workers
-		dev.Pool = opts.Pool
-		dev.Batch = opts.Batch
-		dev.FrameDeadline = opts.FrameDeadline
-		if c.CalibrateFrames > 0 {
-			dev.CalibrateBackground(c.CalibrateFrames)
-		}
-		if c.Faults != nil {
-			if err := dev.InjectFaults(*c.Faults); err != nil {
-				return nil, err
-			}
-		}
-		ch, err := dev.StreamFrom(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Observe != nil {
-			ch = teeSingle(ch, opts.Observe)
 		}
 		scoreTrackingStream(ch, c, out)
-		if c.Faults != nil {
-			out.recordFaults(dev.FaultStats())
-		}
-		runErr = dev.RunError
+	}
+	if c.Faults != nil {
+		out.recordFaults(dev.FaultStats())
 	}
 	// Ordering matters: a watchdog stall (RunError) is the root cause
 	// when a slow source also surfaces a late decode error.
-	if err := runErr(); err != nil {
+	if err := dev.RunError(); err != nil {
 		return nil, err
 	}
 	if err := src.Err(); err != nil {
@@ -378,39 +350,6 @@ func ReplayTraceOpts(ctx context.Context, r io.Reader, opts ReplayOptions) (*Rep
 		Skips:   src.Skipped(),
 		Metrics: out.res.Metrics,
 	}, nil
-}
-
-// teeSingle forwards the sample stream unchanged while reporting each
-// sample to observe — the scoring path downstream sees exactly the
-// frames it would without the tee.
-func teeSingle(ch <-chan core.Sample, observe func(ReplayFix)) <-chan core.Sample {
-	out := make(chan core.Sample)
-	go func() {
-		defer close(out)
-		for s := range ch {
-			observe(ReplayFix{T: s.T, Pos: s.Pos, Valid: s.Valid, Degraded: s.Degraded})
-			out <- s
-		}
-	}()
-	return out
-}
-
-// teeMulti is teeSingle for the k-person stream; the fix reports
-// subject 0's position.
-func teeMulti(ch <-chan core.MultiSample, observe func(ReplayFix)) <-chan core.MultiSample {
-	out := make(chan core.MultiSample)
-	go func() {
-		defer close(out)
-		for s := range ch {
-			fix := ReplayFix{T: s.T, Valid: s.Valid, Degraded: s.Degraded}
-			if len(s.Pos) > 0 {
-				fix.Pos = s.Pos[0]
-			}
-			observe(fix)
-			out <- s
-		}
-	}()
-	return out
 }
 
 // Corpus returns the compact scenario set behind the checked-in golden

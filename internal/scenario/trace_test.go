@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"witrack/internal/core"
+	"witrack/internal/dsp"
 	"witrack/internal/trace"
 )
 
@@ -174,7 +175,8 @@ func TestSweepCellReplayMatchesLiveCell(t *testing.T) {
 // window kernels must score bit-identical to the live quantized run,
 // with and without the batch scheduler — and the trace must actually
 // carry the int16 encoding, substantially smaller than the float64
-// recording of the same walk.
+// recording of the same walk. RecordCell must write the same bytes as
+// RecordCellSweeps for it.
 func TestSweepCellInt16ReplayMatchesLiveCell(t *testing.T) {
 	sp := SweepCellInt16()
 	if err := sp.Validate(); err != nil {
@@ -192,6 +194,17 @@ func TestSweepCellInt16ReplayMatchesLiveCell(t *testing.T) {
 	}
 	if frames != live.res.Frames {
 		t.Fatalf("recorded %d int16 sweep frames, live cell processed %d", frames, live.res.Frames)
+	}
+
+	// RecordCell (what RecordScenarioCell and witrack-record call) must
+	// pick the same int16 sweep capture for an ADC cell: the bin-domain
+	// alternative is a trace ReplayTrace refuses for this provenance.
+	var viaCell bytes.Buffer
+	if _, _, err := RecordCell(&sp, 0, &viaCell); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viaCell.Bytes(), buf.Bytes()) {
+		t.Fatalf("RecordCell wrote %d B for the int16 cell, RecordCellSweeps %d B; want identical traces", viaCell.Len(), buf.Len())
 	}
 
 	tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
@@ -281,13 +294,34 @@ func TestReplayRejectsTamperedProvenance(t *testing.T) {
 	if _, _, err := RecordCell(sp, 0, &buf); err != nil {
 		t.Fatal(err)
 	}
+	tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins := tr.Header().Bins
 	// Re-encode the trace with a header whose recorded deployment no
-	// longer matches what the provenance spec compiles to: replay must
+	// longer matches what the provenance spec compiles to, or with
+	// records that disagree with their header's bin count: replay must
 	// refuse rather than score frames against the wrong device.
-	for name, tamper := range map[string]func(*trace.Header){
-		"seed":      func(h *trace.Header) { h.Seed += 1000 },
-		"radio":     func(h *trace.Header) { h.Radio.MaxRange += 2 },
-		"calibrate": func(h *trace.Header) { h.CalibrateFrames /= 2 },
+	resize := func(n int) func([]dsp.ComplexFrame) {
+		return func(frames []dsp.ComplexFrame) {
+			for k := range frames {
+				frames[k] = make(dsp.ComplexFrame, n)
+			}
+		}
+	}
+	for name, tamper := range map[string]struct {
+		header func(*trace.Header)
+		frames func([]dsp.ComplexFrame)
+	}{
+		"seed":          {header: func(h *trace.Header) { h.Seed += 1000 }},
+		"radio":         {header: func(h *trace.Header) { h.Radio.MaxRange += 2 }},
+		"calibrate":     {header: func(h *trace.Header) { h.CalibrateFrames /= 2 }},
+		"bins":          {header: func(h *trace.Header) { h.Bins-- }},
+		"records-empty": {frames: resize(0)},
+		"records-one":   {frames: resize(1)},
+		"records-short": {frames: resize(bins - 1)},
+		"records-long":  {frames: resize(bins + 5)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
@@ -295,7 +329,9 @@ func TestReplayRejectsTamperedProvenance(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := tr.Header()
-			tamper(&h)
+			if tamper.header != nil {
+				tamper.header(&h)
+			}
 			var tampered bytes.Buffer
 			tw, err := trace.NewWriter(&tampered, h)
 			if err != nil {
@@ -305,6 +341,9 @@ func TestReplayRejectsTamperedProvenance(t *testing.T) {
 				frames, truth, hasTruth, err := tr.ReadFrame()
 				if err != nil {
 					break
+				}
+				if tamper.frames != nil {
+					tamper.frames(frames)
 				}
 				var tp = &truth
 				if !hasTruth {
@@ -318,7 +357,7 @@ func TestReplayRejectsTamperedProvenance(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := ReplayTrace(context.Background(), bytes.NewReader(tampered.Bytes())); err == nil {
-				t.Fatal("replay must reject provenance that compiles to a different deployment")
+				t.Fatal("replay must reject a trace that disagrees with its provenance")
 			}
 		})
 	}

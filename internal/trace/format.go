@@ -131,8 +131,9 @@ type Header struct {
 	Interval float64 `json:"interval"`
 	// NumRx is the receive-antenna count of every frame.
 	NumRx int `json:"num_rx"`
-	// Bins is the per-antenna frame length (informational; the
-	// per-record length prefixes are authoritative).
+	// Bins is the per-antenna frame length. The per-record length
+	// prefixes frame the records; a bin-domain replay (core's
+	// TraceSource) rejects a record whose length differs from Bins.
 	Bins int `json:"bins,omitempty"`
 	// Frames is the expected frame count (informational; the trailer is
 	// authoritative). Zero when the recorder streamed an unknown length.

@@ -21,8 +21,7 @@ import (
 type Writer struct {
 	w      io.Writer
 	zw     *gzip.Writer
-	nRx    int
-	sample string
+	h      Header
 	buf    []byte
 	prev   [][]uint64 // per antenna, previous frame's raw bits (re, im interleaved)
 	prev16 [][]int16  // per antenna, previous frame's codes (int16 traces)
@@ -71,13 +70,15 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	return &Writer{
 		w:      w,
 		zw:     zw,
-		nRx:    h.NumRx,
-		sample: h.Sample,
+		h:      h,
 		prev:   make([][]uint64, h.NumRx),
 		prev16: make([][]int16, h.NumRx),
 		raw:    int64(len(pre)),
 	}, nil
 }
+
+// Header returns the header the trace was opened with.
+func (tw *Writer) Header() Header { return tw.h }
 
 // Frames returns how many frames have been written.
 func (tw *Writer) Frames() int { return tw.n }
@@ -110,11 +111,11 @@ func (tw *Writer) WriteFrameTruths(frames []dsp.ComplexFrame, truths []motion.Bo
 	if tw.closed {
 		return fmt.Errorf("trace: WriteFrame after Close")
 	}
-	if tw.sample == SampleInt16 {
+	if tw.h.Sample == SampleInt16 {
 		return fmt.Errorf("trace: WriteFrameTruths on a %s-sample trace (use WriteFrameInt16)", SampleInt16)
 	}
-	if len(frames) != tw.nRx {
-		return fmt.Errorf("trace: frame has %d antennas, header says %d", len(frames), tw.nRx)
+	if len(frames) != tw.h.NumRx {
+		return fmt.Errorf("trace: frame has %d antennas, header says %d", len(frames), tw.h.NumRx)
 	}
 	if len(truths) > MaxTruths {
 		return fmt.Errorf("trace: %d ground-truth states per frame (max %d)", len(truths), MaxTruths)
@@ -166,11 +167,11 @@ func (tw *Writer) WriteFrameInt16Truths(sweeps [][]int16, truths []motion.BodySt
 	if tw.closed {
 		return fmt.Errorf("trace: WriteFrame after Close")
 	}
-	if tw.sample != SampleInt16 {
-		return fmt.Errorf("trace: WriteFrameInt16Truths on a %q-sample trace", tw.sample)
+	if tw.h.Sample != SampleInt16 {
+		return fmt.Errorf("trace: WriteFrameInt16Truths on a %q-sample trace", tw.h.Sample)
 	}
-	if len(sweeps) != tw.nRx {
-		return fmt.Errorf("trace: frame has %d antennas, header says %d", len(sweeps), tw.nRx)
+	if len(sweeps) != tw.h.NumRx {
+		return fmt.Errorf("trace: frame has %d antennas, header says %d", len(sweeps), tw.h.NumRx)
 	}
 	if len(truths) > MaxTruths {
 		return fmt.Errorf("trace: %d ground-truth states per frame (max %d)", len(truths), MaxTruths)

@@ -50,7 +50,6 @@ package witrack
 import (
 	"context"
 	"io"
-	"time"
 
 	"witrack/internal/body"
 	"witrack/internal/core"
@@ -109,8 +108,6 @@ type (
 	// FrameSource is the pipeline's stage-1 frame source interface (a
 	// recorded trace, a hardware front end).
 	FrameSource = core.FrameSource
-	// RecordedSource replays captured per-antenna complex frames.
-	RecordedSource = core.RecordedSource
 	// Precision selects the arithmetic width of the time-domain sweep
 	// processing (Config.Precision): Float64 (the default, bit-for-bit
 	// reproducible and pinned by the golden digests) or Float32 (the
@@ -166,101 +163,15 @@ const (
 	FaultStuck = fault.Stuck
 )
 
-// Device is a WiTrack unit driving the full pipeline.
-type Device struct {
-	inner *core.Device
-}
+// Device is a WiTrack unit tracking one person on the full pipeline:
+// Run, Stream and StreamFrom track; RecordTo captures a .wtrace;
+// InjectFaults, FaultStats and RunError drive chaos runs. Its run
+// settings are plain fields — Workers, Pool, MonitorHealth,
+// FrameDeadline, RecordSpectrograms.
+type Device = core.Device
 
 // NewDevice validates cfg and builds a device.
-func NewDevice(cfg Config) (*Device, error) {
-	d, err := core.NewDevice(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Device{inner: d}, nil
-}
-
-// Run tracks the trajectory for its full duration.
-func (d *Device) Run(traj Trajectory) *RunResult { return d.inner.Run(traj) }
-
-// Stream tracks the trajectory on the staged concurrent pipeline and
-// delivers 3D location samples as they are produced, in frame order.
-// The channel closes when the trajectory ends or ctx is cancelled. For
-// a fixed seed the sample sequence is bit-identical to Run's.
-func (d *Device) Stream(ctx context.Context, traj Trajectory) <-chan Sample {
-	return d.inner.Stream(ctx, traj)
-}
-
-// StreamFrom runs the pipeline over an arbitrary frame source (a
-// recorded trace, a hardware front end) instead of the built-in
-// simulator.
-func (d *Device) StreamFrom(ctx context.Context, src FrameSource) (<-chan Sample, error) {
-	return d.inner.StreamFrom(ctx, src)
-}
-
-// Record simulates the trajectory and captures every per-antenna frame
-// into a replayable RecordedSource; replaying it through StreamFrom on
-// a fresh identically-configured device is bit-identical to running
-// the trajectory directly.
-func (d *Device) Record(traj Trajectory) *RecordedSource { return d.inner.Record(traj) }
-
-// RecordTo is Record streaming to an on-disk .wtrace (compressed,
-// CRC-guarded, self-describing — see the trace package): only one frame
-// is held in memory at a time. The caller closes tw. Returns the number
-// of frames written.
-func (d *Device) RecordTo(tw *TraceWriter, traj Trajectory) (int, error) {
-	return d.inner.RecordTo(tw, traj)
-}
-
-// TraceHeader returns the .wtrace header describing this device's
-// deployment, ready to open a TraceWriter with.
-func (d *Device) TraceHeader() TraceHeader { return d.inner.TraceHeader() }
-
-// SetWorkers sets the number of per-antenna pipeline workers: 0 (the
-// default) uses one per receive antenna; 1 degenerates to a serial
-// processing stage (useful for measuring the parallel speedup).
-func (d *Device) SetWorkers(n int) { d.inner.Workers = n }
-
-// Reset clears tracker state for a fresh run.
-func (d *Device) Reset() { d.inner.Reset() }
-
-// SetRecordSpectrograms enables raw spectrogram capture (memory heavy;
-// used for figure generation).
-func (d *Device) SetRecordSpectrograms(on bool) { d.inner.RecordSpectrograms = on }
-
-// InjectFaults installs a deterministic fault schedule for subsequent
-// runs: dropped frames, dark antennas, NaN bursts, amplitude spikes,
-// stuck front ends (see the fault kinds above). Injection decisions
-// are pure functions of (seed, frame, antenna), so a faulted run is
-// bit-identical at any worker count. Installing a schedule also turns
-// on health monitoring.
-func (d *Device) InjectFaults(s FaultSchedule) error { return d.inner.InjectFaults(s) }
-
-// FaultStats returns the injection counters accumulated by the last run.
-func (d *Device) FaultStats() FaultStats { return d.inner.FaultStats() }
-
-// RunError reports why the last run ended early (e.g. the watchdog
-// declaring the frame source stalled), or nil for a clean end.
-func (d *Device) RunError() error { return d.inner.RunError() }
-
-// SetMonitorHealth enables per-antenna health tracking without an
-// injector: damaged frames (NaN/Inf, dead antennas) are quarantined and
-// the solver falls back to the healthy antenna subset, flagging those
-// samples Degraded. A fault-free monitored run is bit-identical to an
-// unmonitored one.
-func (d *Device) SetMonitorHealth(on bool) { d.inner.MonitorHealth = on }
-
-// SetFrameDeadline arms the source watchdog: if the frame source
-// delivers nothing for the given duration the run ends and RunError
-// reports the stall. Zero (the default) disables the watchdog.
-func (d *Device) SetFrameDeadline(deadline time.Duration) { d.inner.FrameDeadline = deadline }
-
-// SetPool gates this device's heavy per-antenna compute on a shared
-// WorkerPool, so many devices in one process (a daemon's sessions)
-// time-slice a bounded slot count instead of oversubscribing the host.
-// nil (the default) runs unpooled. Pooling reschedules work but never
-// changes output bits.
-func (d *Device) SetPool(p *WorkerPool) { d.inner.Pool = p }
+func NewDevice(cfg Config) (*Device, error) { return core.NewDevice(cfg) }
 
 // Multi-person tracking: the §10 extension generalized to k concurrent
 // targets. Each receive antenna extracts k time-of-flight candidates
@@ -275,83 +186,17 @@ type (
 	MultiRunResult = core.MultiRunResult
 )
 
-// MultiDevice is a WiTrack unit tracking k concurrent movers.
-type MultiDevice struct {
-	inner *core.MultiDevice
-}
+// MultiDevice is a WiTrack unit tracking k concurrent movers. It shares
+// Device's machinery and settings; Run, Stream and RecordTo take one
+// trajectory per subject, and its samples are MultiSamples.
+type MultiDevice = core.MultiDevice
 
 // NewMultiDevice builds a k-person tracker: cfg.Subject is subject 0,
 // the variadic others are subjects 1..k-1 (the two-person §10
 // configuration is NewMultiDevice(cfg, subjectB)).
 func NewMultiDevice(cfg Config, others ...Subject) (*MultiDevice, error) {
-	d, err := core.NewMultiDevice(cfg, others...)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiDevice{inner: d}, nil
+	return core.NewMultiDevice(cfg, others...)
 }
-
-// NumSubjects returns k, the concurrent-target count.
-func (d *MultiDevice) NumSubjects() int { return d.inner.NumSubjects() }
-
-// Run tracks one trajectory per subject simultaneously for the
-// shortest trajectory's duration. It panics if the trajectory count
-// does not match NumSubjects (a programming error); Stream returns an
-// error instead.
-func (d *MultiDevice) Run(trajs ...Trajectory) *MultiRunResult { return d.inner.Run(trajs...) }
-
-// Stream tracks one trajectory per subject and delivers k-person
-// samples in frame order; bit-identical to Run for a fixed seed.
-func (d *MultiDevice) Stream(ctx context.Context, trajs ...Trajectory) (<-chan MultiSample, error) {
-	return d.inner.Stream(ctx, trajs...)
-}
-
-// StreamFrom runs the k-person pipeline over an arbitrary frame source
-// (a recorded multi-person trace, a hardware front end).
-func (d *MultiDevice) StreamFrom(ctx context.Context, src FrameSource) (<-chan MultiSample, error) {
-	return d.inner.StreamFrom(ctx, src)
-}
-
-// RecordTo streams the k-person cell's per-antenna frames (plus every
-// subject's ground truth) into an on-disk .wtrace; replaying it through
-// StreamFrom on a fresh identically-configured MultiDevice reproduces
-// the live run bit for bit.
-func (d *MultiDevice) RecordTo(tw *TraceWriter, trajs ...Trajectory) (int, error) {
-	return d.inner.RecordTo(tw, trajs...)
-}
-
-// TraceHeader returns the .wtrace header describing this device's
-// deployment, ready to open a TraceWriter with.
-func (d *MultiDevice) TraceHeader() TraceHeader { return d.inner.TraceHeader() }
-
-// SetWorkers sets the per-antenna pipeline worker count (see
-// Device.SetWorkers).
-func (d *MultiDevice) SetWorkers(n int) { d.inner.Workers = n }
-
-// Reset clears tracker state for a fresh run.
-func (d *MultiDevice) Reset() { d.inner.Reset() }
-
-// InjectFaults installs a deterministic fault schedule (see
-// Device.InjectFaults); the k-person solver drops to the healthy
-// antenna subset when an antenna goes dark.
-func (d *MultiDevice) InjectFaults(s FaultSchedule) error { return d.inner.InjectFaults(s) }
-
-// FaultStats returns the injection counters accumulated by the last run.
-func (d *MultiDevice) FaultStats() FaultStats { return d.inner.FaultStats() }
-
-// RunError reports why the last run ended early, or nil for a clean end.
-func (d *MultiDevice) RunError() error { return d.inner.RunError() }
-
-// SetMonitorHealth enables per-antenna health tracking without an
-// injector (see Device.SetMonitorHealth).
-func (d *MultiDevice) SetMonitorHealth(on bool) { d.inner.MonitorHealth = on }
-
-// SetFrameDeadline arms the source watchdog (see Device.SetFrameDeadline).
-func (d *MultiDevice) SetFrameDeadline(deadline time.Duration) { d.inner.FrameDeadline = deadline }
-
-// SetPool gates the k-person pipeline on a shared WorkerPool (see
-// Device.SetPool).
-func (d *MultiDevice) SetPool(p *WorkerPool) { d.inner.Pool = p }
 
 // DefaultConfig returns the paper's through-wall deployment: default
 // radio, 1 m T array mounted at 1.5 m, standard room, median subject.
@@ -498,7 +343,7 @@ type (
 	TraceSource = core.TraceSource
 	// WorkerPool bounds concurrent heavy compute across any number of
 	// devices sharing it (the multi-session daemon's throttle); see
-	// Device.SetPool.
+	// Device.Pool.
 	WorkerPool = core.WorkerPool
 	// FrameArena is a shared recycling arena for decoded frame batches,
 	// letting many sequential or concurrent trace replays reuse one
@@ -535,8 +380,8 @@ func NewTraceSourceArena(r *TraceReader, a *FrameArena) *TraceSource {
 }
 
 // NewWorkerPool builds a pool with n compute slots (n < 1 is clamped
-// to 1). Hand the same pool to several devices via SetPool to bound
-// their combined CPU footprint; output streams are unchanged.
+// to 1). Set it as the Pool of several devices to bound their combined
+// CPU footprint; output streams are unchanged.
 func NewWorkerPool(n int) *WorkerPool { return core.NewWorkerPool(n) }
 
 // NewFrameArena builds a shared decoded-frame arena retaining at most

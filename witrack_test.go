@@ -116,7 +116,7 @@ func TestPublicHelpers(t *testing.T) {
 
 // TestPublicStreamFlow exercises the streaming API end to end through
 // the public wrapper: Stream matches Run sample-for-sample for the same
-// seed, and SetWorkers(1) does not change the output.
+// seed, and Workers = 1 does not change the output.
 func TestPublicStreamFlow(t *testing.T) {
 	mk := func() *Device {
 		cfg := DefaultConfig()
@@ -145,7 +145,7 @@ func TestPublicStreamFlow(t *testing.T) {
 	}
 
 	serial := mk()
-	serial.SetWorkers(1)
+	serial.Workers = 1
 	i := 0
 	for s := range serial.Stream(context.Background(), walk) {
 		if s != want[i] {
