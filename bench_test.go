@@ -333,25 +333,20 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 		workers  int
 		slow     bool
 		duration float64
-		prec     Precision
 	}
-	cases := []benchCase{{"workers=1", 1, false, 30, Float64}}
+	cases := []benchCase{{"workers=1", 1, false, 30}}
 	if parallel > 1 {
-		cases = append(cases, benchCase{fmt.Sprintf("workers=%d", parallel), parallel, false, 30, Float64})
+		cases = append(cases, benchCase{fmt.Sprintf("workers=%d", parallel), parallel, false, 30})
 	}
 	// The time-domain path costs ~50x the spectral path per frame; a
 	// shorter trajectory keeps the 1x smoke run quick while still
-	// averaging hundreds of frames. It runs at both precisions — the
-	// float32 case is the complex64 fast path the Precision knob enables.
-	cases = append(cases,
-		benchCase{"time-domain-sweeps", 0, true, 5, Float64},
-		benchCase{"time-domain-sweeps-f32", 0, true, 5, Float32})
+	// averaging hundreds of frames.
+	cases = append(cases, benchCase{"time-domain-sweeps", 0, true, 5})
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Seed = 1
 			cfg.SlowSynth = bc.slow
-			cfg.Precision = bc.prec
 			dev, err := NewDevice(cfg)
 			if err != nil {
 				b.Fatal(err)

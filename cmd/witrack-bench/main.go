@@ -309,11 +309,7 @@ func main() {
 		row("allocs/frame (fast path)", "-", fmt.Sprintf("%.2f", r.AllocsPerFrame))
 		row("time-domain sweep path", "per-sweep windowed FFT processing (§7)",
 			fmt.Sprintf("%.0f fps, %.2f allocs/frame", r.TimeDomainFPS, r.TimeDomainAllocsPerFrame))
-		row("time-domain float32 path", "-",
-			fmt.Sprintf("%.0f fps, %.2f allocs/frame", r.Float32TimeDomainFPS, r.Float32TimeDomainAllocsPerFrame))
-		row("float32 spectrum error", "within the plan's analytic bound",
-			fmt.Sprintf("%.3g of peak (bound %.3g)", r.Float32MaxError, r.Float32ErrorBound))
-		row("int16 replay path", "quantized traces replay faster than float32 synthesis",
+		row("int16 replay path", "quantized traces replay faster than time-domain synthesis",
 			fmt.Sprintf("%.0f fps, %.2f allocs/frame, %.0f bytes/frame",
 				r.Int16ReplayFPS, r.Int16ReplayAllocsPerFrame, r.Int16BytesPerFrame))
 		row("int16 quantization error", "within the ADC's analytic bound",
@@ -411,33 +407,16 @@ func compareBaseline(path string, current *experiments.PipelineThroughputResult,
 	}
 	allocs("allocs/frame", current.AllocsPerFrame, base.Pipeline.AllocsPerFrame)
 	allocs("time-domain allocs", current.TimeDomainAllocsPerFrame, base.Pipeline.TimeDomainAllocsPerFrame)
-	if base.Pipeline.Float32TimeDomainFPS > 0 {
-		// Baselines written before the float32 path existed carry zeros
-		// here; gate only against a baseline that measured it.
-		throughput("float32 td fps", current.Float32TimeDomainFPS, base.Pipeline.Float32TimeDomainFPS)
-		allocs("float32 td allocs", current.Float32TimeDomainAllocsPerFrame, base.Pipeline.Float32TimeDomainAllocsPerFrame)
-	}
 	if base.Pipeline.Int16ReplayFPS > 0 {
-		// Same compatibility rule for baselines predating the int16 path.
+		// Baselines written before the int16 path existed carry zeros
+		// here; gate only against a baseline that measured it.
 		throughput("int16 replay fps", current.Int16ReplayFPS, base.Pipeline.Int16ReplayFPS)
 		allocs("int16 replay allocs", current.Int16ReplayAllocsPerFrame, base.Pipeline.Int16ReplayAllocsPerFrame)
 	}
 
-	// The float32 oracle is arithmetic, not scheduling: the measured
-	// spectrum error exceeding the plan's analytic bound is a hard
-	// failure on any host.
-	if current.Float32MaxError > current.Float32ErrorBound {
-		fmt.Printf("bench gate: %-22s %10.3g vs bound    %10.3g  REGRESSION\n",
-			"float32 error", current.Float32MaxError, current.Float32ErrorBound)
-		failures = append(failures, "float32 error bound")
-	} else {
-		fmt.Printf("bench gate: %-22s %10.3g vs bound    %10.3g  ok\n",
-			"float32 error", current.Float32MaxError, current.Float32ErrorBound)
-	}
-
-	// Same discipline for the quantized path: the measured int16
-	// spectrum error against the analytic ADC bound is arithmetic and
-	// gates hard on any host.
+	// The quantization oracle is arithmetic, not scheduling: the
+	// measured int16 spectrum error exceeding the analytic ADC bound is
+	// a hard failure on any host.
 	if current.Int16MaxError > current.Int16ErrorBound {
 		fmt.Printf("bench gate: %-22s %10.3g vs bound    %10.3g  REGRESSION\n",
 			"int16 error", current.Int16MaxError, current.Int16ErrorBound)
@@ -448,22 +427,22 @@ func compareBaseline(path string, current *experiments.PipelineThroughputResult,
 	}
 
 	// Replaying quantized codes skips synthesis entirely, so int16
-	// replay must outrun even the float32 time-domain path; both
-	// numbers come from this run on this host, making the ordering a
+	// replay must outrun the time-domain path; both numbers come from
+	// this run on this host, making the ordering a
 	// scheduling-noise-tolerant claim — but a serialized host can still
 	// invert it, so it degrades to a warning there.
-	if current.Int16ReplayFPS < current.Float32TimeDomainFPS {
+	if current.Int16ReplayFPS < current.TimeDomainFPS {
 		if current.SerializedHost {
-			fmt.Printf("bench gate: %-22s %10.0f vs f32 td   %10.0f  WARNING (serialized host; not gating)\n",
-				"int16 replay ordering", current.Int16ReplayFPS, current.Float32TimeDomainFPS)
+			fmt.Printf("bench gate: %-22s %10.0f vs td       %10.0f  WARNING (serialized host; not gating)\n",
+				"int16 replay ordering", current.Int16ReplayFPS, current.TimeDomainFPS)
 		} else {
-			fmt.Printf("bench gate: %-22s %10.0f vs f32 td   %10.0f  REGRESSION\n",
-				"int16 replay ordering", current.Int16ReplayFPS, current.Float32TimeDomainFPS)
+			fmt.Printf("bench gate: %-22s %10.0f vs td       %10.0f  REGRESSION\n",
+				"int16 replay ordering", current.Int16ReplayFPS, current.TimeDomainFPS)
 			failures = append(failures, "int16 replay ordering")
 		}
 	} else {
-		fmt.Printf("bench gate: %-22s %10.0f vs f32 td   %10.0f  ok\n",
-			"int16 replay ordering", current.Int16ReplayFPS, current.Float32TimeDomainFPS)
+		fmt.Printf("bench gate: %-22s %10.0f vs td       %10.0f  ok\n",
+			"int16 replay ordering", current.Int16ReplayFPS, current.TimeDomainFPS)
 	}
 
 	// Parallel scaling: the four-worker point of the speedup curve must

@@ -17,13 +17,13 @@ const (
 	DefaultMaxBatch     = 64
 )
 
-// BatchScheduler coalesces frame-level RFFT batch calls across
-// pipelines that share a dsp.Plan — the cross-session form of the
-// within-frame batching dsp.RFFTBatch provides. Sessions submit through
-// per-session BatchClients; submissions against the same plan that land
-// within a bounded gather window are executed as one stage-interleaved
-// dsp.RFFTSpans call, so the twiddle tables stream from memory once per
-// stage for the whole collection instead of once per session.
+// BatchScheduler coalesces frame transforms across pipelines that share
+// a dsp.Plan. Sessions submit each frame's sweeps as one dsp.RFFTSpan
+// through per-session BatchClients; submissions against the same plan
+// that land within a bounded gather window are executed as one
+// stage-interleaved dsp.RFFTSpans call, so the twiddle tables stream
+// from memory once per stage for the whole collection instead of once
+// per session.
 //
 // Execution is leader-follower: the first submitter of a plan's open
 // group becomes its leader, later submitters are followers. The group
@@ -35,14 +35,14 @@ const (
 // work executes under a held slot with no extra acquire — a leader
 // blocks only on the window timer and a follower only on its leader,
 // both bounded, so pooled pipelines still cannot deadlock. A lone
-// session's group simply times out with one job in it and degenerates
-// to the exact RFFTBatch call it replaced.
+// session's group simply times out with one span in it and runs the
+// same RFFTSpans call the session would have made on its own.
 //
-// Bit-parity: dsp.RFFTSpans leaves every span bit-identical to a
-// sequential RFFTBatch call (pinned in dsp's batch oracle tests), and
-// each job's sweeps are packed into that job's own dst arena, so
-// coalescing changes scheduling only — live == replay == served
-// parity is preserved exactly.
+// Bit-parity: dsp.RFFTSpans leaves every span bit-identical to
+// transforming its sweeps one at a time (pinned in dsp's batch oracle
+// tests), and each job's sweeps are packed into that job's own dst
+// arena, so coalescing changes scheduling only — live == replay ==
+// served parity is preserved exactly.
 type BatchScheduler struct {
 	window   time.Duration
 	maxBatch int
@@ -102,34 +102,20 @@ func (c *BatchClient) Stats() (submitted, coalesced int64) {
 	return c.submitted.Load(), c.coalesced.Load()
 }
 
-// RFFTBatch implements fmcw.RFFTBatcher: it submits one frame's sweeps
-// for coalesced execution and blocks until the results are in dst.
-// Results are bit-identical to plan.RFFTBatch(dst, sweeps, window).
-func (c *BatchClient) RFFTBatch(plan *dsp.Plan, dst []complex128, sweeps [][]float64, window []float64) []complex128 {
-	return c.sched.run(c, plan, dst, sweeps, window)
+// RFFT implements fmcw.RFFTBatcher: it submits one frame's span for
+// coalesced execution and blocks until the results are in sp.Dst.
+// Groups are keyed by plan, not by encoding, so float64 and int16
+// sessions coalesce with each other.
+func (c *BatchClient) RFFT(plan *dsp.Plan, sp dsp.RFFTSpan) {
+	job := &batchJob{client: c, span: sp, done: make(chan struct{})}
+	c.sched.submit(plan, job)
 }
 
-// RFFTBatchInt16 is RFFTBatch for quantized sweeps: the ADC codes ride
-// the same gather groups as float64 jobs (groups are keyed by plan, not
-// by encoding, so mixed sessions still coalesce), and the leader's
-// combined call dequantizes each int16 span through the fused
-// dequantize+window kernel. Results are bit-identical to
-// plan.RFFTBatchInt16(dst, sweeps, scale, window).
-func (c *BatchClient) RFFTBatchInt16(plan *dsp.Plan, dst []complex128, sweeps [][]int16, scale float64, window []float64) []complex128 {
-	return c.sched.runInt16(c, plan, dst, sweeps, scale, window)
-}
-
-// batchJob is one submitted frame transform: float64 sweeps, or int16
-// ADC codes plus their dequantization scale (exactly one of sweeps /
-// sweeps16 is set).
+// batchJob is one submitted frame transform.
 type batchJob struct {
-	client   *BatchClient
-	dst      []complex128
-	sweeps   [][]float64
-	sweeps16 [][]int16
-	scale    float64
-	window   []float64
-	done     chan struct{}
+	client *BatchClient
+	span   dsp.RFFTSpan
+	done   chan struct{}
 }
 
 // batchGroup is one plan's open gather of jobs. ready is closed when
@@ -150,32 +136,9 @@ type batchExecScratch struct {
 	segs  [][]complex128
 }
 
-// run submits one float64 job and blocks until its results are in dst.
-func (s *BatchScheduler) run(c *BatchClient, plan *dsp.Plan, dst []complex128, sweeps [][]float64, window []float64) []complex128 {
-	seg := plan.Size()/2 + 1
-	if len(dst) != len(sweeps)*seg {
-		dst = make([]complex128, len(sweeps)*seg)
-	}
-	job := &batchJob{client: c, dst: dst, sweeps: sweeps, window: window, done: make(chan struct{})}
-	s.submit(plan, job, len(sweeps))
-	return dst
-}
-
-// runInt16 submits one quantized job and blocks until its results are
-// in dst.
-func (s *BatchScheduler) runInt16(c *BatchClient, plan *dsp.Plan, dst []complex128, sweeps [][]int16, scale float64, window []float64) []complex128 {
-	seg := plan.Size()/2 + 1
-	if len(dst) != len(sweeps)*seg {
-		dst = make([]complex128, len(sweeps)*seg)
-	}
-	job := &batchJob{client: c, dst: dst, sweeps16: sweeps, scale: scale, window: window, done: make(chan struct{})}
-	s.submit(plan, job, len(sweeps))
-	return dst
-}
-
-// submit enqueues one job (segs FFT segments) into plan's open gather
-// group and blocks until the group has executed.
-func (s *BatchScheduler) submit(plan *dsp.Plan, job *batchJob, segs int) {
+// submit enqueues one job into plan's open gather group and blocks
+// until the group has executed.
+func (s *BatchScheduler) submit(plan *dsp.Plan, job *batchJob) {
 	s.mu.Lock()
 	g := s.groups[plan]
 	leader := g == nil
@@ -184,7 +147,7 @@ func (s *BatchScheduler) submit(plan *dsp.Plan, job *batchJob, segs int) {
 		s.groups[plan] = g
 	}
 	g.jobs = append(g.jobs, job)
-	g.segs += segs
+	g.segs += job.span.Len()
 	if g.segs >= s.maxBatch {
 		s.sealLocked(g)
 	} else if leader {
@@ -224,34 +187,25 @@ func (s *BatchScheduler) sealLocked(g *batchGroup) {
 // followers. Counting: a job "rode a multi-session batch" when its
 // group held jobs from at least one other client.
 func (s *BatchScheduler) execute(g *batchGroup) {
-	if len(g.jobs) == 1 {
-		j := g.jobs[0]
-		if j.sweeps16 != nil {
-			g.plan.RFFTBatchInt16(j.dst, j.sweeps16, j.scale, j.window)
-		} else {
-			g.plan.RFFTBatch(j.dst, j.sweeps, j.window)
-		}
-	} else {
-		sc, _ := s.scratch.Get().(*batchExecScratch)
-		if sc == nil {
-			sc = &batchExecScratch{}
-		}
-		sc.spans = sc.spans[:0]
-		for _, j := range g.jobs {
-			sc.spans = append(sc.spans, dsp.RFFTSpan{Dst: j.dst, Sweeps: j.sweeps, SweepsI16: j.sweeps16, Scale: j.scale, Window: j.window})
-		}
-		sc.segs = g.plan.RFFTSpans(sc.spans, sc.segs)
-		// Drop the references to foreign arenas before pooling the
-		// scratch: a recycled gather list must not pin session buffers.
-		for i := range sc.spans {
-			sc.spans[i] = dsp.RFFTSpan{}
-		}
-		for i := range sc.segs {
-			sc.segs[i] = nil
-		}
-		sc.segs = sc.segs[:0]
-		s.scratch.Put(sc)
+	sc, _ := s.scratch.Get().(*batchExecScratch)
+	if sc == nil {
+		sc = &batchExecScratch{}
 	}
+	sc.spans = sc.spans[:0]
+	for _, j := range g.jobs {
+		sc.spans = append(sc.spans, j.span)
+	}
+	sc.segs = g.plan.RFFTSpans(sc.spans, sc.segs)
+	// Drop the references to foreign arenas before pooling the scratch:
+	// a recycled gather list must not pin session buffers.
+	for i := range sc.spans {
+		sc.spans[i] = dsp.RFFTSpan{}
+	}
+	for i := range sc.segs {
+		sc.segs[i] = nil
+	}
+	sc.segs = sc.segs[:0]
+	s.scratch.Put(sc)
 
 	s.batches.Add(1)
 	multi := false

@@ -13,12 +13,45 @@ import (
 	"witrack/internal/trace"
 )
 
+// batchTestSpan builds one frame's span of count random n-sample
+// sweeps — int16 ADC codes when quantized, float64 samples otherwise —
+// with a dst sized for it, and returns it together with the reference
+// it must reproduce: sequential RealTransform calls on the (dequantized)
+// sweeps.
+func batchTestSpan(rng *rand.Rand, plan *dsp.Plan, window []float64, count int, quantized bool) (dsp.RFFTSpan, []complex128) {
+	n := plan.Size()
+	const scale = 1.0 / (1 << 13)
+	sp := dsp.RFFTSpan{Dst: make([]complex128, count*(n/2+1)), Window: window}
+	var want []complex128
+	for i := 0; i < count; i++ {
+		sw := make([]float64, n)
+		if quantized {
+			codes := make([]int16, n)
+			for j := range codes {
+				codes[j] = int16(rng.Intn(1<<14) - 1<<13)
+				sw[j] = float64(codes[j]) * scale
+			}
+			sp.SweepsI16 = append(sp.SweepsI16, codes)
+			sp.Scale = scale
+		} else {
+			for j := range sw {
+				sw[j] = rng.NormFloat64()
+			}
+			sp.Sweeps = append(sp.Sweeps, sw)
+		}
+		want = append(want, plan.RealTransform(nil, sw, window)...)
+	}
+	return sp, want
+}
+
 // TestBatchSchedulerBitIdentical drives several clients through a
 // shared scheduler in concurrent rounds and requires every combined
-// call to leave each client's dst bit-identical to the private
-// plan.RFFTBatch call it replaced — and the rounds to actually coalesce
-// across clients (the scheduler may never buy its speedup by changing
-// bits, and this test would be vacuous if nothing ever batched).
+// call to leave each client's dst bit-identical to transforming its
+// sweeps one at a time — and the rounds to actually coalesce across
+// clients (the scheduler may never buy its speedup by changing bits,
+// and this test would be vacuous if nothing ever batched). Half the
+// clients submit int16 ADC codes, so every full round's group mixes
+// encodings.
 func TestBatchSchedulerBitIdentical(t *testing.T) {
 	const (
 		n         = 128
@@ -33,28 +66,20 @@ func TestBatchSchedulerBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 
 	type frameJob struct {
-		sweeps [][]float64
-		want   []complex128
+		span dsp.RFFTSpan
+		want []complex128
 	}
 	jobs := make([][]frameJob, clients)
 	for c := range jobs {
 		jobs[c] = make([]frameJob, rounds)
 		for f := range jobs[c] {
-			sweeps := make([][]float64, perFrame)
-			for i := range sweeps {
-				sw := make([]float64, n)
-				for j := range sw {
-					sw[j] = rng.NormFloat64()
-				}
-				sweeps[i] = sw
-			}
-			jobs[c][f] = frameJob{sweeps: sweeps, want: plan.RFFTBatch(nil, sweeps, window)}
+			sp, want := batchTestSpan(rng, plan, window, perFrame, c%2 == 1)
+			jobs[c][f] = frameJob{span: sp, want: want}
 		}
 	}
 
 	s := NewBatchScheduler(gatherWin, maxBatch)
 	cls := make([]*BatchClient, clients)
-	dsts := make([][]complex128, clients)
 	for c := range cls {
 		cls[c] = s.NewClient()
 	}
@@ -68,15 +93,16 @@ func TestBatchSchedulerBitIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				dsts[c] = cls[c].RFFTBatch(plan, dsts[c], jobs[c][f].sweeps, window)
+				cls[c].RFFT(plan, jobs[c][f].span)
 			}(c)
 		}
 		wg.Wait()
 		for c := 0; c < clients; c++ {
-			for k := range jobs[c][f].want {
-				if dsts[c][k] != jobs[c][f].want[k] {
-					t.Fatalf("round %d client %d bin %d diverged: batched %v, private %v",
-						f, c, k, dsts[c][k], jobs[c][f].want[k])
+			got := jobs[c][f].span.Dst
+			for k, want := range jobs[c][f].want {
+				if got[k] != want {
+					t.Fatalf("round %d client %d bin %d diverged: batched %v, sequential %v",
+						f, c, k, got[k], want)
 				}
 			}
 		}
@@ -101,32 +127,27 @@ func TestBatchSchedulerBitIdentical(t *testing.T) {
 }
 
 // TestBatchSchedulerLoneClient pins the lone-session degenerate case: a
-// single client's group times out with one job, the result is
-// bit-identical to the private call, and nothing counts as coalesced.
+// single client's group times out with one span, float64 or int16, the
+// result is bit-identical to transforming its sweeps one at a time, and
+// nothing counts as coalesced.
 func TestBatchSchedulerLoneClient(t *testing.T) {
 	const n = 64
 	plan := dsp.PlanFor(n)
 	window := dsp.Hann(n)
 	rng := rand.New(rand.NewSource(7))
-	sweeps := make([][]float64, 5)
-	for i := range sweeps {
-		sw := make([]float64, n)
-		for j := range sw {
-			sw[j] = rng.NormFloat64()
-		}
-		sweeps[i] = sw
-	}
-	want := plan.RFFTBatch(nil, sweeps, window)
 
 	cl := NewBatchScheduler(0, 0).NewClient()
-	got := cl.RFFTBatch(plan, nil, sweeps, window)
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("bin %d diverged: scheduled %v, private %v", k, got[k], want[k])
+	for _, quantized := range []bool{false, true} {
+		sp, want := batchTestSpan(rng, plan, window, 5, quantized)
+		cl.RFFT(plan, sp)
+		for k := range want {
+			if sp.Dst[k] != want[k] {
+				t.Fatalf("quantized=%v bin %d diverged: scheduled %v, sequential %v", quantized, k, sp.Dst[k], want[k])
+			}
 		}
 	}
-	if sub, co := cl.Stats(); sub != 1 || co != 0 {
-		t.Fatalf("lone client stats (submitted=%d, coalesced=%d), want (1, 0)", sub, co)
+	if sub, co := cl.Stats(); sub != 2 || co != 0 {
+		t.Fatalf("lone client stats (submitted=%d, coalesced=%d), want (2, 0)", sub, co)
 	}
 }
 

@@ -28,13 +28,11 @@ type Config struct {
 	// SlowSynth switches frame generation to the full time-domain path
 	// (identical statistics, ~100x slower; used for validation runs).
 	SlowSynth bool
-	// Precision selects the arithmetic width of the time-domain sweep
-	// processing (the SlowSynth windowed-FFT hot loop). The default,
-	// dsp.Float64, is bit-for-bit pinned by the golden digests;
-	// dsp.Float32 halves the memory bandwidth of that loop and keeps
-	// every spectrum bin within dsp.Plan32.ErrorBound of the float64
-	// result. The fast spectral-synthesis path is float64 either way.
-	Precision dsp.Precision
+	// Precision is ignored: the sweep path always runs in float64.
+	//
+	// Deprecated: fmcw.Precision admits a single value, so no precision
+	// can be chosen.
+	Precision fmcw.Precision
 	// TrackerOverride, when non-nil, customizes the per-antenna tracker
 	// configuration after defaults are applied.
 	TrackerOverride func(*track.Config)

@@ -171,8 +171,7 @@ func TestInt16TraceCompression(t *testing.T) {
 }
 
 // TestInt16DeviceWithinTolerance is the quantized end-to-end precision
-// oracle, the ADC counterpart of TestFloat32DeviceWithinTolerance: a
-// 14-bit quantized run must track the same trajectory as the
+// oracle: a 14-bit quantized run must track the same trajectory as the
 // full-precision float64 run to within a loose position tolerance —
 // the per-bin quantization error (bounded analytically in
 // fmcw.QuantErrorBound and far below the configured noise floor) must

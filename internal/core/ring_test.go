@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"witrack/internal/dsp"
 	"witrack/internal/fault"
 	"witrack/internal/motion"
 )
@@ -92,61 +91,6 @@ func TestBatchRingConcurrentHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestFloat32DeviceWithinTolerance is the end-to-end precision oracle:
-// a SlowSynth run with Precision=Float32 must track the same trajectory
-// as the float64 run to within a loose position tolerance — the
-// spectrum-level 2^-23-scale error must not destabilize the nonlinear
-// tracking stages (peak picking, contour gating, ellipsoid
-// intersection).
-func TestFloat32DeviceWithinTolerance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow synthesis path")
-	}
-	run := func(prec dsp.Precision) *RunResult {
-		cfg := DefaultConfig()
-		cfg.Seed = 21
-		cfg.SlowSynth = true
-		cfg.Precision = prec
-		dev, err := NewDevice(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walk := motion.NewRandomWalk(motion.DefaultWalkConfig(testRegion(), cfg.Subject.CenterHeight(), 4, 33))
-		return dev.Run(walk)
-	}
-	r64 := run(dsp.Float64)
-	r32 := run(dsp.Float32)
-	if r64.Frames != r32.Frames {
-		t.Fatalf("frame counts differ: %d vs %d", r64.Frames, r32.Frames)
-	}
-	both, flips := 0, 0
-	worst := 0.0
-	for i := range r64.Samples {
-		a, b := r64.Samples[i], r32.Samples[i]
-		if a.Valid != b.Valid {
-			flips++
-			continue
-		}
-		if !a.Valid {
-			continue
-		}
-		both++
-		if d := a.Pos.Dist(b.Pos); d > worst {
-			worst = d
-		}
-	}
-	if both == 0 {
-		t.Fatal("no frames valid under both precisions")
-	}
-	t.Logf("%d frames compared, %d validity flips, worst position difference %.2g m", both, flips, worst)
-	if flips > r64.Frames/20 {
-		t.Fatalf("%d/%d frames flipped validity between precisions", flips, r64.Frames)
-	}
-	if worst > 0.25 {
-		t.Fatalf("float32 run diverges from float64 by %.3f m", worst)
-	}
 }
 
 // TestRingSurvivesCancelDuringOutage hammers mid-run cancellation while

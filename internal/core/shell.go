@@ -326,11 +326,29 @@ func (s *shell[T]) simSource(trajs []motion.Trajectory) (*simSource, error) {
 		s.cfg.Array.Tx, len(s.cfg.Array.Rx), s.cfg.Radio.FrameInterval(), s.cfg.SlowSynth, s.ring), nil
 }
 
-// checkSource rejects a frame source whose antenna count does not match
-// the device's array.
+// checkSource rejects a frame source this device cannot process: one
+// whose antenna count differs from the device's array or, for a
+// recorded trace, whose records are shaped for a different radio — a
+// bin count (bin traces) or sweep shape (sweep traces) other than what
+// this device's own TraceHeader/SweepTraceHeader would write. Without
+// the shape check a foreign trace either panics inside a pipeline
+// worker or tracks garbage bins without reporting an error.
 func (s *shell[T]) checkSource(src FrameSource) error {
 	if got, want := src.NumRx(), len(s.cfg.Array.Rx); got != want {
 		return fmt.Errorf("core: source has %d antennas, device array has %d", got, want)
+	}
+	ts, ok := src.(*TraceSource)
+	if !ok {
+		return nil
+	}
+	h, radio := ts.Header(), s.cfg.Radio
+	if h.Domain == trace.DomainSweeps {
+		if h.SweepsPerFrame != radio.SweepsPerFrame || h.SamplesPerSweep != radio.SamplesPerSweep() {
+			return fmt.Errorf("core: sweep trace records %d sweeps × %d samples per frame, device radio takes %d × %d",
+				h.SweepsPerFrame, h.SamplesPerSweep, radio.SweepsPerFrame, radio.SamplesPerSweep())
+		}
+	} else if h.Bins != radio.RangeBins() {
+		return fmt.Errorf("core: trace records %d range bins, device radio has %d", h.Bins, radio.RangeBins())
 	}
 	return nil
 }
@@ -340,7 +358,6 @@ func (s *shell[T]) checkSource(src FrameSource) error {
 func (s *shell[T]) newScratch(batch *BatchClient) []antennaScratch {
 	scratch := make([]antennaScratch, len(s.cfg.Array.Rx))
 	for k := range scratch {
-		scratch[k].prec = s.cfg.Precision
 		scratch[k].batch = batch
 	}
 	return scratch
@@ -355,7 +372,6 @@ type antennaScratch struct {
 	paths []fmcw.Path
 	spec  dsp.ComplexFrame
 	sweep *fmcw.SweepScratch
-	prec  dsp.Precision
 	// batch, when non-nil, is installed on the sweep scratch so this
 	// antenna's frame transforms coalesce with other pipelines'.
 	batch *BatchClient
@@ -383,24 +399,12 @@ func (w *antennaScratch) materialize(synth *fmcw.Synthesizer, prop *rf.Propagato
 	case b.sweeps16 != nil:
 		// Quantized sweeps take precedence over the float64 synthesis
 		// scratch: the codes are what the modeled ADC output, and routing
-		// them through the fused dequantize+window kernels keeps live,
+		// them through the fused dequantize+window kernel keeps live,
 		// recorded, and replayed runs bit-identical.
-		if w.sweep == nil {
-			w.sweep = synth.NewSweepScratchPrecision(w.prec)
-			if w.batch != nil {
-				w.sweep.SetBatcher(w.batch)
-			}
-		}
-		w.spec = synth.ComplexFrameFromSweepsInt16Into(w.spec, b.sweeps16[k], b.scale16, w.sweep)
+		w.spec = synth.ComplexFrameFromSweepsInt16Into(w.spec, b.sweeps16[k], b.scale16, w.sweepScratch(synth))
 		return w.spec
 	case b.sweeps != nil:
-		if w.sweep == nil {
-			w.sweep = synth.NewSweepScratchPrecision(w.prec)
-			if w.batch != nil {
-				w.sweep.SetBatcher(w.batch)
-			}
-		}
-		w.spec = synth.ComplexFrameFromSweepsInto(w.spec, b.sweeps[k], w.sweep)
+		w.spec = synth.ComplexFrameFromSweepsInto(w.spec, b.sweeps[k], w.sweepScratch(synth))
 		return w.spec
 	case b.synth != nil:
 		j := &b.synth[k]
@@ -414,6 +418,18 @@ func (w *antennaScratch) materialize(synth *fmcw.Synthesizer, prop *rf.Propagato
 	default:
 		return b.Frames[k]
 	}
+}
+
+// sweepScratch returns the worker's time-domain sweep scratch, built on
+// first use with the worker's batch client installed.
+func (w *antennaScratch) sweepScratch(synth *fmcw.Synthesizer) *fmcw.SweepScratch {
+	if w.sweep == nil {
+		w.sweep = synth.NewSweepScratch()
+		if w.batch != nil {
+			w.sweep.SetBatcher(w.batch)
+		}
+	}
+	return w.sweep
 }
 
 // runStages drives the staged pipeline over src with the device's

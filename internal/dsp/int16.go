@@ -82,119 +82,3 @@ func (p *Plan) WindowPackInt16(dst []complex128, x []int16, scale float64, windo
 		dst[k] = 0
 	}
 }
-
-// RFFTBatchInt16 is RFFTBatch over quantized int16 sweeps: every sweep
-// is dequantized, windowed, and packed by the fused WindowPackInt16
-// kernel, then one stage-interleaved half-size batch FFT and the unpack
-// pass run exactly as in RFFTBatch. Each output segment is bit-identical
-// to RealTransform on the staged dequantization of that sweep, so the
-// int16 path reuses the float64 path's FFT verbatim — same plan, same
-// twiddle tables, same batching keys.
-func (p *Plan) RFFTBatchInt16(dst []complex128, sweeps [][]int16, scale float64, window []float64) []complex128 {
-	batch := len(sweeps)
-	h := p.n / 2
-	seg := h + 1
-	if len(dst) != batch*seg {
-		dst = make([]complex128, batch*seg)
-	}
-	for i, sw := range sweeps {
-		p.WindowPackInt16(dst[i*seg:i*seg+seg], sw, scale, window)
-	}
-	if p.n == 1 {
-		return dst
-	}
-	p.half.transformStrided(dst, batch, seg)
-	for i := range sweeps {
-		p.unpackReal(dst[i*seg : i*seg+seg])
-	}
-	return dst
-}
-
-// WindowPackInt16 is the single-precision fused dequantize+window+pack
-// kernel: each sample is dequantized in float64 (float64(code) * scale,
-// exact for any 16-bit code), narrowed once to float32, and multiplied
-// by the float32 window as it is packed — the same ordering Plan32's
-// packReal applies to staged float64 samples, so fused and staged
-// single-precision paths are bit-identical too.
-func (p *Plan32) WindowPackInt16(dst []complex64, x []int16, scale float64, window []float32) {
-	if len(x) > p.n {
-		x = x[:p.n]
-	}
-	if window != nil && len(window) < len(x) {
-		panic(fmt.Sprintf("dsp: window of %d samples cannot cover %d-sample signal", len(window), len(x)))
-	}
-	if p.n == 1 {
-		v := float32(0)
-		if len(x) > 0 {
-			v = float32(float64(x[0]) * scale)
-			if window != nil {
-				v *= window[0]
-			}
-		}
-		dst[0] = complex(v, 0)
-		return
-	}
-	h := p.n / 2
-	lim := (len(x) + 1) / 2
-	full := len(x) / 2
-	k := 0
-	if window != nil {
-		for ; k+4 <= full; k += 4 {
-			j := 2 * k
-			dst[k] = complex(float32(float64(x[j])*scale)*window[j], float32(float64(x[j+1])*scale)*window[j+1])
-			dst[k+1] = complex(float32(float64(x[j+2])*scale)*window[j+2], float32(float64(x[j+3])*scale)*window[j+3])
-			dst[k+2] = complex(float32(float64(x[j+4])*scale)*window[j+4], float32(float64(x[j+5])*scale)*window[j+5])
-			dst[k+3] = complex(float32(float64(x[j+6])*scale)*window[j+6], float32(float64(x[j+7])*scale)*window[j+7])
-		}
-		for ; k < full; k++ {
-			j := 2 * k
-			dst[k] = complex(float32(float64(x[j])*scale)*window[j], float32(float64(x[j+1])*scale)*window[j+1])
-		}
-	} else {
-		for ; k+4 <= full; k += 4 {
-			j := 2 * k
-			dst[k] = complex(float32(float64(x[j])*scale), float32(float64(x[j+1])*scale))
-			dst[k+1] = complex(float32(float64(x[j+2])*scale), float32(float64(x[j+3])*scale))
-			dst[k+2] = complex(float32(float64(x[j+4])*scale), float32(float64(x[j+5])*scale))
-			dst[k+3] = complex(float32(float64(x[j+6])*scale), float32(float64(x[j+7])*scale))
-		}
-		for ; k < full; k++ {
-			j := 2 * k
-			dst[k] = complex(float32(float64(x[j])*scale), float32(float64(x[j+1])*scale))
-		}
-	}
-	if full < lim {
-		re := float32(float64(x[2*full]) * scale)
-		if window != nil {
-			re *= window[2*full]
-		}
-		dst[full] = complex(re, 0)
-	}
-	for k := lim; k < h; k++ {
-		dst[k] = 0
-	}
-}
-
-// RFFTBatchInt16 is Plan32.RFFTBatch over quantized int16 sweeps via
-// the fused single-precision WindowPackInt16 kernel. Each output
-// segment is bit-identical to RealTransform on the staged (float64
-// dequantized) sweep.
-func (p *Plan32) RFFTBatchInt16(dst []complex64, sweeps [][]int16, scale float64, window []float32) []complex64 {
-	batch := len(sweeps)
-	h := p.n / 2
-	seg := h + 1
-	if len(dst) != batch*seg {
-		dst = make([]complex64, batch*seg)
-	}
-	for i, sw := range sweeps {
-		p.WindowPackInt16(dst[i*seg:i*seg+seg], sw, scale, window)
-	}
-	if p.n == 1 {
-		return dst
-	}
-	p.half.transformStrided(dst, batch, seg)
-	for i := range sweeps {
-		p.unpackReal(dst[i*seg : i*seg+seg])
-	}
-	return dst
-}

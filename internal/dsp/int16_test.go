@@ -25,10 +25,10 @@ func dequant(x []int16, scale float64) []float64 {
 	return out
 }
 
-// TestWindowPackInt16MatchesStaged pins the fused kernels' arithmetic
-// contract: RFFTBatchInt16 (both precisions) must be bit-identical to
+// TestWindowPackInt16MatchesStaged pins the fused kernel's arithmetic
+// contract: a one-span int16 RFFTSpans call must be bit-identical to
 // dequantizing every sweep into a float64 staging buffer and running
-// the existing RFFTBatch — same operations, same order, merely without
+// RealTransform on it — same operations, same order, merely without
 // the staging buffer. Covers windowed/unwindowed, short (zero-padded)
 // and odd-length sweeps, so the unrolled main loop's tails are hit.
 func TestWindowPackInt16MatchesStaged(t *testing.T) {
@@ -39,12 +39,9 @@ func TestWindowPackInt16MatchesStaged(t *testing.T) {
 		batch := 1 + rng.Intn(8)
 		scale := 1.0 / float64(int64(1)<<uint(10+rng.Intn(6)))
 		p := PlanFor(n)
-		p32 := Plan32For(n)
 		var window []float64
-		var w32 []float32
 		if rng.Intn(2) == 0 {
 			window = Hann(n)
-			w32 = Window32(window)
 		}
 		sweeps := make([][]int16, batch)
 		staged := make([][]float64, batch)
@@ -57,21 +54,14 @@ func TestWindowPackInt16MatchesStaged(t *testing.T) {
 			staged[i] = dequant(sweeps[i], scale)
 		}
 
-		got := p.RFFTBatchInt16(nil, sweeps, scale, window)
-		want := p.RFFTBatch(nil, staged, window)
+		span := []RFFTSpan{{Dst: make([]complex128, batch*(n/2+1)), SweepsI16: sweeps, Scale: scale, Window: window}}
+		p.RFFTSpans(span, nil)
+		got := span[0].Dst
+		want := sequentialRFFT(p, staged, window)
 		for k := range want {
 			if got[k] != want[k] {
-				t.Fatalf("trial %d (n=%d B=%d): float64 bin %d diverged: fused %v, staged %v",
+				t.Fatalf("trial %d (n=%d B=%d): bin %d diverged: fused %v, staged %v",
 					trial, n, batch, k, got[k], want[k])
-			}
-		}
-
-		got32 := p32.RFFTBatchInt16(nil, sweeps, scale, w32)
-		want32 := p32.RFFTBatch(nil, staged, w32)
-		for k := range want32 {
-			if got32[k] != want32[k] {
-				t.Fatalf("trial %d (n=%d B=%d): float32 bin %d diverged: fused %v, staged %v",
-					trial, n, batch, k, got32[k], want32[k])
 			}
 		}
 	}
@@ -79,9 +69,9 @@ func TestWindowPackInt16MatchesStaged(t *testing.T) {
 
 // TestRFFTSpansInt16BitIdentical extends the cross-session batching
 // oracle to quantized spans: a combined RFFTSpans call over a mix of
-// int16 and float64 spans must leave every int16 span's dst
-// bit-identical to the RFFTBatchInt16 call it replaces, and every
-// float64 span untouched by its new neighbors.
+// int16 and float64 spans must leave every span's dst bit-identical to
+// sequential RealTransform calls on its (dequantized) sweeps, so no span
+// is disturbed by neighbors of the other encoding.
 func TestRFFTSpansInt16BitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	sizes := []int{2, 8, 64, 512}
@@ -109,7 +99,11 @@ func TestRFFTSpansInt16BitIdentical(t *testing.T) {
 					sweeps[i] = randSweepInt16(rng, ln)
 				}
 				spans[si] = RFFTSpan{Dst: make([]complex128, batch*seg), SweepsI16: sweeps, Scale: scale, Window: window}
-				want[si] = p.RFFTBatchInt16(nil, sweeps, scale, window)
+				staged := make([][]float64, batch)
+				for i, sw := range sweeps {
+					staged[i] = dequant(sw, scale)
+				}
+				want[si] = sequentialRFFT(p, staged, window)
 			} else {
 				sweeps := make([][]float64, batch)
 				for i := range sweeps {
@@ -120,7 +114,7 @@ func TestRFFTSpansInt16BitIdentical(t *testing.T) {
 					sweeps[i] = sw
 				}
 				spans[si] = RFFTSpan{Dst: make([]complex128, batch*seg), Sweeps: sweeps, Window: window}
-				want[si] = p.RFFTBatch(nil, sweeps, window)
+				want[si] = sequentialRFFT(p, sweeps, window)
 			}
 		}
 
@@ -136,11 +130,11 @@ func TestRFFTSpansInt16BitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkRFFTBatchInt16 compares the fused int16 batch against the
-// staged dequantize-into-float64-then-RFFTBatch alternative it replaces,
-// on the sweep-domain service shape (8 sweeps × 320 samples, 512-point
-// transforms).
-func BenchmarkRFFTBatchInt16(b *testing.B) {
+// BenchmarkRFFTSpansInt16 compares a fused int16 span against the
+// staged dequantize-into-float64-then-transform alternative it
+// replaces, on the sweep-domain service shape (8 sweeps × 320 samples,
+// 512-point transforms).
+func BenchmarkRFFTSpansInt16(b *testing.B) {
 	const (
 		n      = 512
 		ns     = 320
@@ -157,9 +151,11 @@ func BenchmarkRFFTBatchInt16(b *testing.B) {
 	dst := make([]complex128, sweeps*(n/2+1))
 
 	b.Run("fused", func(b *testing.B) {
+		span := []RFFTSpan{{Dst: dst, SweepsI16: sw, Scale: scale, Window: window}}
+		var segs [][]complex128
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dst = p.RFFTBatchInt16(dst, sw, scale, window)
+			segs = p.RFFTSpans(span, segs)
 		}
 	})
 	b.Run("staged", func(b *testing.B) {
@@ -167,6 +163,8 @@ func BenchmarkRFFTBatchInt16(b *testing.B) {
 		for i := range staging {
 			staging[i] = make([]float64, ns)
 		}
+		span := []RFFTSpan{{Dst: dst, Sweeps: staging, Window: window}}
+		var segs [][]complex128
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for si, s := range sw {
@@ -174,7 +172,7 @@ func BenchmarkRFFTBatchInt16(b *testing.B) {
 					staging[si][j] = float64(v) * scale
 				}
 			}
-			dst = p.RFFTBatch(dst, staging, window)
+			segs = p.RFFTSpans(span, segs)
 		}
 	})
 }

@@ -94,37 +94,25 @@ func newPlan(n int, withReal bool) *Plan {
 func (p *Plan) Size() int { return p.n }
 
 // Transform computes the in-place unnormalized FFT of x, which must have
-// exactly the plan's size. It allocates nothing.
+// exactly the plan's size: TransformSegs on a one-segment list. It
+// allocates nothing.
 func (p *Plan) Transform(x []complex128) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dsp: Transform on %d samples with a %d-point plan", len(x), p.n))
 	}
-	p.transformStrided(x, 1, p.n)
-}
-
-// TransformBatch computes the in-place unnormalized FFT of each of the
-// batch contiguous size-n segments of x (len(x) must be batch*n). The
-// butterflies are stage-interleaved across segments — one pass over the
-// stage's twiddle table serves the whole batch, so the table stays hot
-// in cache instead of being re-streamed per transform — but no arithmetic
-// crosses a segment boundary: segment i's output is bit-identical to
-// Transform on that segment alone. It allocates nothing.
-func (p *Plan) TransformBatch(x []complex128, batch int) {
-	if batch < 0 || len(x) != batch*p.n {
-		panic(fmt.Sprintf("dsp: TransformBatch of %d samples is not %d × %d-point", len(x), batch, p.n))
-	}
-	p.transformStrided(x, batch, p.n)
+	p.TransformSegs([][]complex128{x})
 }
 
 // TransformSegs computes the in-place unnormalized FFT of every segment
-// in segs, each of which must have exactly the plan's size. Like
-// TransformBatch the butterflies are stage-interleaved — each stage's
-// twiddle table is streamed once for the whole list — but the segments
-// are caller-owned slices that may live in different allocations (the
-// scratch arenas of different pipelines), which is what lets a batch
-// scheduler combine transforms across sessions without copying their
-// data together first. No arithmetic crosses a segment boundary, so
-// segment i's output is bit-identical to Transform on it alone.
+// in segs, each of which must have exactly the plan's size. The
+// butterflies are stage-interleaved — each stage's twiddle table is
+// streamed once for the whole list instead of once per transform — and
+// the segments are caller-owned slices that may live in different
+// allocations (the scratch arenas of different pipelines), which is
+// what lets a batch scheduler combine transforms across sessions
+// without copying their data together first. No arithmetic crosses a
+// segment boundary, so segment i's output is bit-identical to
+// transforming it alone.
 func (p *Plan) TransformSegs(segs [][]complex128) {
 	for _, seg := range segs {
 		if len(seg) != p.n {
@@ -153,13 +141,12 @@ func (p *Plan) TransformSegs(segs [][]complex128) {
 	}
 }
 
-// RFFTSpan is one caller's contribution to a combined RFFTSpans call:
-// the same (dst, sweeps, window) triple an RFFTBatch call takes — or,
-// with SweepsI16 set, the (dst, sweeps, scale, window) quad an
-// RFFTBatchInt16 call takes. Dst must be batch*(n/2+1) bins long, where
-// batch is the sweep count of whichever representation is set — callers
-// size it before submitting, so the combining layer never reallocates
-// foreign arenas.
+// RFFTSpan is one caller's batch of real sweeps for RFFTSpans: the
+// sweeps, the window applied to every one of them, and the arena their
+// spectra land in. Dst must be Len()*(n/2+1) bins long — callers size
+// it before submitting, so the combining layer never reallocates
+// foreign arenas — and sweep i's n/2+1 non-negative-frequency bins land
+// in Dst[i*(n/2+1):(i+1)*(n/2+1)].
 type RFFTSpan struct {
 	Dst    []complex128
 	Sweeps [][]float64
@@ -173,24 +160,24 @@ type RFFTSpan struct {
 	Scale     float64
 }
 
-// batch returns the span's sweep count for whichever representation is
+// Len returns the span's sweep count for whichever representation is
 // set.
-func (sp *RFFTSpan) batch() int {
+func (sp *RFFTSpan) Len() int {
 	if sp.SweepsI16 != nil {
 		return len(sp.SweepsI16)
 	}
 	return len(sp.Sweeps)
 }
 
-// RFFTSpans runs RFFTBatch for every span in one stage-interleaved
-// pass: all spans' sweeps are packed, the half-size complex FFTs of the
-// whole collection run segment-interleaved through the shared twiddle
-// tables, then all spans are unpacked. Per-sweep arithmetic and its
-// order are exactly RealTransform's, so every span's dst is
-// bit-identical to the RFFTBatch call it replaces; what changes is that
-// the twiddle tables are streamed once per stage for the combined
-// collection instead of once per span — the cross-session form of the
-// within-frame batching RFFTBatch provides.
+// RFFTSpans runs RealTransform on every sweep of every span in one
+// stage-interleaved pass: all spans' sweeps are packed, the half-size
+// complex FFTs of the whole collection run segment-interleaved through
+// the shared twiddle tables, then all spans are unpacked. Per-sweep
+// arithmetic and its order are exactly RealTransform's, so every output
+// segment is bit-identical to the sequential call; what changes is that
+// the twiddle tables are streamed from memory once per stage for the
+// combined collection instead of once per sweep. One span is a frame's
+// sweeps; several are the cross-session batch a scheduler gathers.
 //
 // segs is the gather-list scratch (grown as needed and returned), so a
 // steady-state caller allocates nothing.
@@ -199,8 +186,8 @@ func (p *Plan) RFFTSpans(spans []RFFTSpan, segs [][]complex128) [][]complex128 {
 	seg := h + 1
 	for si := range spans {
 		sp := &spans[si]
-		if len(sp.Dst) != sp.batch()*seg {
-			panic(fmt.Sprintf("dsp: RFFTSpans dst of %d bins is not %d × %d", len(sp.Dst), sp.batch(), seg))
+		if len(sp.Dst) != sp.Len()*seg {
+			panic(fmt.Sprintf("dsp: RFFTSpans dst of %d bins is not %d × %d", len(sp.Dst), sp.Len(), seg))
 		}
 		if sp.SweepsI16 != nil {
 			for i, sw := range sp.SweepsI16 {
@@ -218,52 +205,18 @@ func (p *Plan) RFFTSpans(spans []RFFTSpan, segs [][]complex128) [][]complex128 {
 	segs = segs[:0]
 	for si := range spans {
 		sp := &spans[si]
-		for i := 0; i < sp.batch(); i++ {
+		for i := 0; i < sp.Len(); i++ {
 			segs = append(segs, sp.Dst[i*seg:i*seg+h])
 		}
 	}
 	p.half.TransformSegs(segs)
 	for si := range spans {
 		sp := &spans[si]
-		for i := 0; i < sp.batch(); i++ {
+		for i := 0; i < sp.Len(); i++ {
 			p.unpackReal(sp.Dst[i*seg : i*seg+seg])
 		}
 	}
 	return segs
-}
-
-// transformStrided runs the planned FFT on batch segments of size n
-// starting stride samples apart (stride >= n; the gap lets RFFTBatch
-// batch over the half-size prefixes of its n/2+1-bin output segments).
-// Each butterfly stage sweeps all segments before the next stage starts,
-// amortizing twiddle-table reads across the batch. Per-segment arithmetic
-// and its order are exactly Transform's, so results are bit-identical to
-// sequential single transforms.
-func (p *Plan) transformStrided(x []complex128, batch, stride int) {
-	for bi := 0; bi < batch; bi++ {
-		seg := x[bi*stride : bi*stride+p.n]
-		for _, s := range p.swaps {
-			seg[s[0]], seg[s[1]] = seg[s[1]], seg[s[0]]
-		}
-	}
-	n := p.n
-	for si, tw := range p.stages {
-		half := 1 << uint(si)
-		size := half << 1
-		for bi := 0; bi < batch; bi++ {
-			seg := x[bi*stride : bi*stride+n]
-			for start := 0; start < n; start += size {
-				a := seg[start : start+half : start+half]
-				b := seg[start+half : start+size : start+size]
-				for k := range a {
-					even := a[k]
-					odd := b[k] * tw[k]
-					a[k] = even + odd
-					b[k] = even - odd
-				}
-			}
-		}
-	}
 }
 
 // Inverse computes the in-place inverse FFT of x, including the 1/N
@@ -310,35 +263,6 @@ func (p *Plan) RealTransform(dst []complex128, x []float64, window []float64) []
 	p.packReal(dst, x, window)
 	p.half.Transform(dst[:h])
 	p.unpackReal(dst)
-	return dst
-}
-
-// RFFTBatch runs RealTransform on each of the batch real sweeps at once:
-// sweep i's n/2+1 non-negative-frequency bins land in
-// dst[i*(n/2+1):(i+1)*(n/2+1)] (dst is reallocated only when its length
-// is not batch*(n/2+1)). All sweeps are packed first, then one
-// stage-interleaved half-size batch FFT runs them through the shared
-// twiddle tables together, then all are unpacked — per-sweep arithmetic
-// is exactly RealTransform's, so each output segment is bit-identical to
-// the sequential call, while the twiddle tables are streamed from memory
-// once per stage instead of once per sweep.
-func (p *Plan) RFFTBatch(dst []complex128, sweeps [][]float64, window []float64) []complex128 {
-	batch := len(sweeps)
-	h := p.n / 2
-	seg := h + 1
-	if len(dst) != batch*seg {
-		dst = make([]complex128, batch*seg)
-	}
-	for i, sw := range sweeps {
-		p.packReal(dst[i*seg:i*seg+seg], sw, window)
-	}
-	if p.n == 1 {
-		return dst
-	}
-	p.half.transformStrided(dst, batch, seg)
-	for i := range sweeps {
-		p.unpackReal(dst[i*seg : i*seg+seg])
-	}
 	return dst
 }
 

@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -15,39 +14,21 @@ func randSignal(rng *rand.Rand, n int) []complex128 {
 	return x
 }
 
-// TestTransformBatchBitIdentical is the fuzz-style batching oracle: for
-// random batch sizes B in {1..8}, random transform sizes, and random
-// data, TransformBatch must be bit-identical to B sequential Transform
-// calls — the stage interleaving reorders work across segments but may
-// not change a single operation within one.
-func TestTransformBatchBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	sizes := []int{1, 2, 4, 8, 64, 256, 1024}
-	for trial := 0; trial < 200; trial++ {
-		n := sizes[rng.Intn(len(sizes))]
-		batch := 1 + rng.Intn(8)
-		p := PlanFor(n)
-
-		batched := randSignal(rng, batch*n)
-		seq := append([]complex128(nil), batched...)
-
-		p.TransformBatch(batched, batch)
-		for i := 0; i < batch; i++ {
-			p.Transform(seq[i*n : (i+1)*n])
-		}
-		for i := range seq {
-			if batched[i] != seq[i] {
-				t.Fatalf("trial %d (n=%d B=%d): sample %d diverged: batch %v, sequential %v",
-					trial, n, batch, i, batched[i], seq[i])
-			}
-		}
+// sequentialRFFT is the reference every batched real-FFT oracle
+// compares against: RealTransform on each sweep in turn, the
+// sweep-at-a-time processing, laid out as RFFTSpans lays out a span.
+func sequentialRFFT(p *Plan, sweeps [][]float64, window []float64) []complex128 {
+	var out []complex128
+	for _, sw := range sweeps {
+		out = append(out, p.RealTransform(nil, sw, window)...)
 	}
+	return out
 }
 
-// TestRFFTBatchBitIdentical extends the oracle to the real-input batch
-// path: for random B in {1..8}, RFFTBatch's per-sweep output segments
-// must be bit-identical to B sequential RealTransform calls, with and
-// without a window, including short (zero-padded) sweeps.
+// TestRFFTBatchBitIdentical is the batching oracle for one frame: for
+// random B in {1..8}, a one-span RFFTSpans call's per-sweep output
+// segments must be bit-identical to B sequential RealTransform calls,
+// with and without a window, including short (zero-padded) sweeps.
 func TestRFFTBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	sizes := []int{2, 4, 8, 64, 512, 1024}
@@ -72,11 +53,10 @@ func TestRFFTBatchBitIdentical(t *testing.T) {
 			sweeps[i] = sw
 		}
 
-		got := p.RFFTBatch(nil, sweeps, window)
 		seg := n/2 + 1
-		if len(got) != batch*seg {
-			t.Fatalf("trial %d: RFFTBatch returned %d bins, want %d", trial, len(got), batch*seg)
-		}
+		span := []RFFTSpan{{Dst: make([]complex128, batch*seg), Sweeps: sweeps, Window: window}}
+		p.RFFTSpans(span, nil)
+		got := span[0].Dst
 		for i, sw := range sweeps {
 			want := p.RealTransform(nil, sw, window)
 			for k := range want {
@@ -122,11 +102,10 @@ func TestTransformSegsBitIdentical(t *testing.T) {
 }
 
 // TestRFFTSpansBitIdentical is the cross-session batching oracle: a
-// combined RFFTSpans call over several spans — each the (dst, sweeps,
-// window) triple of an independent RFFTBatch call, living in separate
-// allocations as different sessions' scratch arenas would — must leave
-// every span's dst bit-identical to the RFFTBatch call it replaces
-// (itself pinned bit-identical to sequential RealTransform above).
+// combined RFFTSpans call over several spans — each a separate frame's
+// sweeps, living in separate allocations as different sessions' scratch
+// arenas would — must leave every span's dst bit-identical to
+// transforming its sweeps one at a time with RealTransform.
 func TestRFFTSpansBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	sizes := []int{2, 4, 8, 64, 512}
@@ -156,16 +135,14 @@ func TestRFFTSpansBitIdentical(t *testing.T) {
 				sweeps[i] = sw
 			}
 			spans[si] = RFFTSpan{Dst: make([]complex128, batch*seg), Sweeps: sweeps, Window: window}
-			want[si] = p.RFFTBatch(nil, sweeps, window)
+			want[si] = sequentialRFFT(p, sweeps, window)
 		}
 
-		var segs [][]complex128
-		segs = p.RFFTSpans(spans, segs)
-		_ = segs
+		p.RFFTSpans(spans, nil)
 		for si, sp := range spans {
 			for k := range want[si] {
 				if sp.Dst[k] != want[si][k] {
-					t.Fatalf("trial %d (n=%d span=%d): bin %d diverged: combined %v, RFFTBatch %v",
+					t.Fatalf("trial %d (n=%d span=%d): bin %d diverged: combined %v, sequential %v",
 						trial, n, si, k, sp.Dst[k], want[si][k])
 				}
 			}
@@ -186,118 +163,8 @@ func TestRFFTSpansBadDstPanics(t *testing.T) {
 	p.RFFTSpans([]RFFTSpan{{Dst: make([]complex128, 10), Sweeps: [][]float64{make([]float64, 64)}}}, nil)
 }
 
-// TestRFFTBatchReusesArena verifies the arena contract: a dst of the
-// right length is reused (no allocation), a wrong length is replaced.
-func TestRFFTBatchReusesArena(t *testing.T) {
-	p := PlanFor(64)
-	sweeps := [][]float64{make([]float64, 64), make([]float64, 64)}
-	arena := make([]complex128, 2*33)
-	if got := p.RFFTBatch(arena, sweeps, nil); &got[0] != &arena[0] {
-		t.Fatal("right-sized arena was not reused")
-	}
-	if got := p.RFFTBatch(arena[:10], sweeps, nil); len(got) != 2*33 {
-		t.Fatalf("wrong-sized arena not replaced: len %d", len(got))
-	}
-}
-
-// TestPlan32BatchBitIdentical pins the single-precision batch engine to
-// its own sequential path: TransformBatch and RFFTBatch segments must be
-// bit-identical to per-sweep Transform / RealTransform calls (float32
-// arithmetic included, nothing may leak through float64 temporaries).
-func TestPlan32BatchBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 100; trial++ {
-		n := []int{2, 8, 128, 1024}[rng.Intn(4)]
-		batch := 1 + rng.Intn(8)
-		p := Plan32For(n)
-		w32 := Window32(Hann(n))
-
-		// Complex batch.
-		batched := make([]complex64, batch*n)
-		for i := range batched {
-			batched[i] = complex64(complex(rng.NormFloat64(), rng.NormFloat64()))
-		}
-		seq := append([]complex64(nil), batched...)
-		p.TransformBatch(batched, batch)
-		for i := 0; i < batch; i++ {
-			p.Transform(seq[i*n : (i+1)*n])
-		}
-		for i := range seq {
-			if batched[i] != seq[i] {
-				t.Fatalf("trial %d (n=%d B=%d): complex64 sample %d diverged", trial, n, batch, i)
-			}
-		}
-
-		// Real batch.
-		sweeps := make([][]float64, batch)
-		for i := range sweeps {
-			sw := make([]float64, n)
-			for j := range sw {
-				sw[j] = rng.NormFloat64()
-			}
-			sweeps[i] = sw
-		}
-		got := p.RFFTBatch(nil, sweeps, w32)
-		seg := n/2 + 1
-		for i, sw := range sweeps {
-			want := p.RealTransform(nil, sw, w32)
-			for k := range want {
-				if got[i*seg+k] != want[k] {
-					t.Fatalf("trial %d (n=%d B=%d): sweep %d bin %d diverged", trial, n, batch, i, k)
-				}
-			}
-		}
-	}
-}
-
-// TestPlan32WithinErrorBound is the precision oracle at the dsp layer:
-// the float32 real-input transform of realistic windowed signals must
-// stay within Plan32.ErrorBound of the float64 reference (max per-bin
-// absolute error over the reference's peak magnitude). The measured
-// error is also required to be nonzero for nontrivial inputs, so the
-// oracle cannot silently degenerate into comparing a path against
-// itself.
-func TestPlan32WithinErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for _, n := range []int{256, 1024, 4096} {
-		p64 := PlanFor(n)
-		p32 := Plan32For(n)
-		window := Hann(n)
-		w32 := Window32(window)
-		worst := 0.0
-		for trial := 0; trial < 20; trial++ {
-			sw := make([]float64, n)
-			// A few strong tones (the FMCW beat spectrum shape) plus noise.
-			for tone := 0; tone < 3; tone++ {
-				f := rng.Float64() * float64(n) / 4
-				amp := math.Pow(10, -rng.Float64()*3)
-				ph := rng.Float64() * 2 * math.Pi
-				for j := range sw {
-					sw[j] += amp * math.Cos(2*math.Pi*f*float64(j)/float64(n)+ph)
-				}
-			}
-			for j := range sw {
-				sw[j] += 1e-4 * rng.NormFloat64()
-			}
-			want := p64.RealTransform(nil, sw, window)
-			got := p32.RealTransform(nil, sw, w32)
-			if err := MaxSpectrumError(got, want); err > worst {
-				worst = err
-			}
-		}
-		bound := p32.ErrorBound()
-		t.Logf("n=%d: worst relative error %.3g (bound %.3g)", n, worst, bound)
-		if worst > bound {
-			t.Fatalf("n=%d: float32 error %.3g exceeds the stated bound %.3g", n, worst, bound)
-		}
-		if worst == 0 {
-			t.Fatalf("n=%d: float32 path reported zero error — oracle is not measuring anything", n)
-		}
-	}
-}
-
 // BenchmarkRFFTSpans measures the cross-session combined transform
-// against the same work issued as one RFFTBatch call per span — the
+// against the same work issued as one RFFTSpans call per span — the
 // daemon's per-session alternative. The shape mirrors the sweep-domain
 // service workload: 8 sessions' frames of 8 sweeps × 320 samples,
 // zero-padded into 512-point transforms.
@@ -332,10 +199,11 @@ func BenchmarkRFFTSpans(b *testing.B) {
 		}
 	})
 	b.Run("per-span", func(b *testing.B) {
+		var segs [][]complex128
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for s := range all {
-				all[s].Dst = p.RFFTBatch(all[s].Dst, all[s].Sweeps, all[s].Window)
+				segs = p.RFFTSpans(all[s:s+1], segs)
 			}
 		}
 	})

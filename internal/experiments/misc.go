@@ -11,7 +11,6 @@ import (
 
 	"witrack/internal/baseline/rti"
 	"witrack/internal/core"
-	"witrack/internal/dsp"
 	"witrack/internal/fmcw"
 	"witrack/internal/geom"
 	"witrack/internal/motion"
@@ -323,22 +322,11 @@ type PipelineThroughputResult struct {
 	TimeDomainFPS float64 `json:"time_domain_fps"`
 	// TimeDomainAllocsPerFrame is the allocation rate of that run.
 	TimeDomainAllocsPerFrame float64 `json:"time_domain_allocs_per_frame"`
-	// Float32TimeDomainFPS is TimeDomainFPS with Precision=Float32 (the
-	// complex64 windowed-FFT fast path).
-	Float32TimeDomainFPS float64 `json:"float32_time_domain_fps"`
-	// Float32TimeDomainAllocsPerFrame is the allocation rate of that run.
-	Float32TimeDomainAllocsPerFrame float64 `json:"float32_time_domain_allocs_per_frame"`
-	// Float32MaxError is the measured float32-vs-float64 spectrum error
-	// (largest per-bin deviation relative to the frame's peak magnitude,
-	// over a set of realistic frames); it must stay below
-	// Float32ErrorBound, the dsp.Plan32 analytic bound.
-	Float32MaxError   float64 `json:"float32_max_error"`
-	Float32ErrorBound float64 `json:"float32_error_bound"`
 	// Int16ReplayFPS is frames/sec replaying a quantized int16 sweep
 	// trace (delta-decoded ADC codes through the fused dequantize+
 	// window kernels) with one worker per antenna. Replay pays no
 	// synthesis cost, so this is the decode+FFT throughput of the
-	// fixed-point path and must beat Float32TimeDomainFPS.
+	// fixed-point path and must beat TimeDomainFPS.
 	Int16ReplayFPS float64 `json:"int16_replay_fps"`
 	// Int16ReplayAllocsPerFrame is the allocation rate of that run.
 	Int16ReplayAllocsPerFrame float64 `json:"int16_replay_allocs_per_frame"`
@@ -377,14 +365,13 @@ type SpeedupPoint struct {
 
 // PipelineThroughput times identical fixed-seed runs (bit-identical
 // samples; only the schedule differs) at the two worker counts, then
-// measures the time-domain sweep path at both precisions, the float32
-// spectrum-error oracle, and the GOMAXPROCS × worker scaling curve.
+// measures the time-domain sweep path, the int16 replay path and its
+// quantization-error oracle, and the GOMAXPROCS × worker scaling curve.
 func PipelineThroughput(duration float64, seed int64) (*PipelineThroughputResult, error) {
-	timeRun := func(workers int, slow, fourRx bool, prec dsp.Precision) (fps, allocsPerFrame float64, frames int, err error) {
+	timeRun := func(workers int, slow, fourRx bool) (fps, allocsPerFrame float64, frames int, err error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = seed
 		cfg.SlowSynth = slow
-		cfg.Precision = prec
 		if fourRx {
 			// The default T array has three receive antennas, capping the
 			// worker count at three; the scaling sweep completes the "+"
@@ -417,19 +404,15 @@ func PipelineThroughput(duration float64, seed int64) (*PipelineThroughputResult
 			float64(m1.Mallocs-m0.Mallocs) / float64(res.Frames),
 			res.Frames, nil
 	}
-	serial, _, frames, err := timeRun(1, false, false, dsp.Float64)
+	serial, _, frames, err := timeRun(1, false, false)
 	if err != nil {
 		return nil, err
 	}
-	parallel, allocs, _, err := timeRun(0, false, false, dsp.Float64)
+	parallel, allocs, _, err := timeRun(0, false, false)
 	if err != nil {
 		return nil, err
 	}
-	timeDomain, tdAllocs, _, err := timeRun(0, true, false, dsp.Float64)
-	if err != nil {
-		return nil, err
-	}
-	td32, td32Allocs, _, err := timeRun(0, true, false, dsp.Float32)
+	timeDomain, tdAllocs, _, err := timeRun(0, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -438,29 +421,24 @@ func PipelineThroughput(duration float64, seed int64) (*PipelineThroughputResult
 		return nil, err
 	}
 
-	maxErr, bound := float32SpectrumOracle(seed)
 	qErr, qBound := int16SpectrumOracle(seed)
 
 	nRx := len(core.DefaultConfig().Array.Rx)
 	res := &PipelineThroughputResult{
-		SerialFPS:                       serial,
-		ParallelFPS:                     parallel,
-		Speedup:                         parallel / serial,
-		Workers:                         nRx,
-		Frames:                          frames,
-		AllocsPerFrame:                  allocs,
-		TimeDomainFPS:                   timeDomain,
-		TimeDomainAllocsPerFrame:        tdAllocs,
-		Float32TimeDomainFPS:            td32,
-		Float32TimeDomainAllocsPerFrame: td32Allocs,
-		Float32MaxError:                 maxErr,
-		Float32ErrorBound:               bound,
-		Int16ReplayFPS:                  i16,
-		Int16ReplayAllocsPerFrame:       i16Allocs,
-		Int16BytesPerFrame:              i16BPF,
-		Int16MaxError:                   qErr,
-		Int16ErrorBound:                 qBound,
-		SerializedHost:                  runtime.NumCPU() == 1 || runtime.GOMAXPROCS(0) == 1,
+		SerialFPS:                 serial,
+		ParallelFPS:               parallel,
+		Speedup:                   parallel / serial,
+		Workers:                   nRx,
+		Frames:                    frames,
+		AllocsPerFrame:            allocs,
+		TimeDomainFPS:             timeDomain,
+		TimeDomainAllocsPerFrame:  tdAllocs,
+		Int16ReplayFPS:            i16,
+		Int16ReplayAllocsPerFrame: i16Allocs,
+		Int16BytesPerFrame:        i16BPF,
+		Int16MaxError:             qErr,
+		Int16ErrorBound:           qBound,
+		SerializedHost:            runtime.NumCPU() == 1 || runtime.GOMAXPROCS(0) == 1,
 	}
 
 	// Scaling sweep: GOMAXPROCS × workers on the four-antenna array.
@@ -476,7 +454,7 @@ func PipelineThroughput(duration float64, seed int64) (*PipelineThroughputResult
 		runtime.GOMAXPROCS(procs)
 		base := 0.0
 		for _, workers := range []int{1, 2, 4} {
-			fps, _, _, err := timeRun(workers, false, true, dsp.Float64)
+			fps, _, _, err := timeRun(workers, false, true)
 			if err != nil {
 				return nil, err
 			}
@@ -492,46 +470,6 @@ func PipelineThroughput(duration float64, seed int64) (*PipelineThroughputResult
 		}
 	}
 	return res, nil
-}
-
-// float32SpectrumOracle measures the float32 sweep path against the
-// float64 reference over a set of realistic frames: the worst per-bin
-// deviation relative to each frame's peak magnitude, together with the
-// analytic bound it must stay under.
-func float32SpectrumOracle(seed int64) (maxErr, bound float64) {
-	s := fmcw.NewSynthesizer(fmcw.Default())
-	rng := rand.New(rand.NewSource(seed))
-	ws64 := s.NewSweepScratch()
-	ws32 := s.NewSweepScratchPrecision(dsp.Float32)
-	spf := fmcw.Default().SweepsPerFrame
-	sweeps := make([][]float64, spf)
-	for frame := 0; frame < 8; frame++ {
-		rt := 4 + 8*rng.Float64()
-		paths := []fmcw.Path{
-			{RoundTrip: rt, PowerWatts: 1e-6, Phase: rng.Float64() * 2 * math.Pi},
-			{RoundTrip: rt + 3, PowerWatts: 1e-9, Phase: rng.Float64() * 2 * math.Pi},
-		}
-		for i := range sweeps {
-			sweeps[i] = s.SynthesizeSweep(paths, rng)
-		}
-		want := s.ComplexFrameFromSweepsInto(nil, sweeps, ws64)
-		got := s.ComplexFrameFromSweepsInto(nil, sweeps, ws32)
-		peak := 0.0
-		for _, w := range want {
-			if m := cmplx.Abs(w); m > peak {
-				peak = m
-			}
-		}
-		if peak == 0 {
-			continue
-		}
-		for i := range want {
-			if e := cmplx.Abs(got[i]-want[i]) / peak; e > maxErr {
-				maxErr = e
-			}
-		}
-	}
-	return maxErr, s.Float32ErrorBound()
 }
 
 // timeInt16Replay records a quantized walk into an in-memory int16

@@ -62,10 +62,10 @@ func TestInt16SweepPathWithinBound(t *testing.T) {
 	}
 }
 
-// TestInt16FusedMatchesStagedFrame pins the fused kernels' contract at
-// the frame level for both precisions: ComplexFrameFromSweepsInt16Into
-// must be bit-identical to dequantizing every sweep into float64 and
-// running the existing ComplexFrameFromSweepsInto.
+// TestInt16FusedMatchesStagedFrame pins the fused kernel's contract at
+// the frame level: ComplexFrameFromSweepsInt16Into must be bit-identical
+// to dequantizing every sweep into float64 and running
+// ComplexFrameFromSweepsInto.
 func TestInt16FusedMatchesStagedFrame(t *testing.T) {
 	s, q, _, quant := quantTestSetup(t, 14, 102)
 	staged := make([][]float64, len(quant))
@@ -75,45 +75,13 @@ func TestInt16FusedMatchesStagedFrame(t *testing.T) {
 			staged[i][j] = float64(c) * q.Scale()
 		}
 	}
-	for _, prec := range []dsp.Precision{dsp.Float64, dsp.Float32} {
-		ws := s.NewSweepScratchPrecision(prec)
-		want := s.ComplexFrameFromSweepsInto(nil, staged, ws)
-		got := s.ComplexFrameFromSweepsInt16Into(nil, quant, q.Scale(), ws)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v bin %d: fused %v != staged %v", prec, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestInt16Float32WithinCombinedBound gates the stacked fast paths: the
-// Float32 scratch over quantized sweeps must stay within the sum of the
-// quantization bound and the float32 rounding bound of the exact
-// float64 unquantized frame (the errors are independent and additive at
-// worst).
-func TestInt16Float32WithinCombinedBound(t *testing.T) {
-	s, q, sweeps, quant := quantTestSetup(t, 14, 103)
-	ws64 := s.NewSweepScratch()
-	ws32 := s.NewSweepScratchPrecision(dsp.Float32)
-	want := s.ComplexFrameFromSweepsInto(nil, sweeps, ws64)
-	got := s.ComplexFrameFromSweepsInt16Into(nil, quant, q.Scale(), ws32)
-	peak := 0.0
-	for _, w := range want {
-		if m := cmplx.Abs(w); m > peak {
-			peak = m
-		}
-	}
-	worst := 0.0
+	ws := s.NewSweepScratch()
+	want := s.ComplexFrameFromSweepsInto(nil, staged, ws)
+	got := s.ComplexFrameFromSweepsInt16Into(nil, quant, q.Scale(), ws)
 	for i := range want {
-		if e := cmplx.Abs(got[i] - want[i]); e > worst {
-			worst = e
+		if got[i] != want[i] {
+			t.Fatalf("bin %d: fused %v != staged %v", i, got[i], want[i])
 		}
-	}
-	bound := s.QuantErrorBound(q.Scale()) + s.Float32ErrorBound()*peak
-	t.Logf("combined worst error %.3g (bound %.3g)", worst, bound)
-	if worst > bound {
-		t.Fatalf("int16+float32 error %.3g exceeds the combined bound %.3g", worst, bound)
 	}
 }
 
@@ -180,18 +148,16 @@ func TestADCBitsValidation(t *testing.T) {
 
 // TestInt16ScratchAllocFree extends the arena contract to the fused
 // int16 entry point: a warm scratch processes quantized frames with
-// zero heap allocations at either precision.
+// zero heap allocations.
 func TestInt16ScratchAllocFree(t *testing.T) {
 	s, q, _, quant := quantTestSetup(t, 14, 104)
-	for _, prec := range []dsp.Precision{dsp.Float64, dsp.Float32} {
-		ws := s.NewSweepScratchPrecision(prec)
-		dst := make(dsp.ComplexFrame, s.cfg.RangeBins())
-		dst = s.ComplexFrameFromSweepsInt16Into(dst, quant, q.Scale(), ws) // warm
-		allocs := testing.AllocsPerRun(50, func() {
-			dst = s.ComplexFrameFromSweepsInt16Into(dst, quant, q.Scale(), ws)
-		})
-		if allocs != 0 {
-			t.Fatalf("%v: %.1f allocs per warm quantized frame, want 0", prec, allocs)
-		}
+	ws := s.NewSweepScratch()
+	dst := make(dsp.ComplexFrame, s.cfg.RangeBins())
+	dst = s.ComplexFrameFromSweepsInt16Into(dst, quant, q.Scale(), ws) // warm
+	allocs := testing.AllocsPerRun(50, func() {
+		dst = s.ComplexFrameFromSweepsInt16Into(dst, quant, q.Scale(), ws)
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per warm quantized frame, want 0", allocs)
 	}
 }

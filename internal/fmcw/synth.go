@@ -28,9 +28,6 @@ import (
 type Synthesizer struct {
 	cfg    Config
 	window []float64
-	// window32 is the window narrowed to float32 for the Precision ==
-	// Float32 sweep path (each coefficient correctly rounded once).
-	window32 []float32
 	// winSum is sum(w[n]) — the DC gain of the window.
 	winSum float64
 	// noisePerComp is the per-component (Re/Im) standard deviation of
@@ -47,92 +44,62 @@ type Synthesizer struct {
 	plan *dsp.Plan
 }
 
-// SweepScratch owns the reusable buffers of the time-domain sweep path:
-// the RFFT batch arena and (for the full slow-synthesis entry points)
-// the per-sweep sample buffers. A scratch must be owned by exactly one
-// goroutine — each pipeline worker holds its own, while the immutable
-// FFT plans behind it are shared by all of them.
-//
-// A scratch carries the Precision knob: Float64 (the default) runs the
-// golden-pinned double-precision path, Float32 routes the windowed-FFT
-// hot loop through the shared Plan32 for half the memory traffic.
-// RFFTBatcher intercepts a scratch's frame-level RFFT batch call so an
-// external scheduler can coalesce it with other pipelines' transforms
-// (witrack-svc's cross-session batching). An implementation must return
-// results bit-identical to plan.RFFTBatch(dst, sweeps, window) — it may
-// only change when and alongside what the butterflies execute, never
-// the per-sweep arithmetic. The call blocks until the results are in
-// dst, and sweeps/window must not be retained afterwards.
+// RFFTBatcher intercepts a scratch's frame transform so an external
+// scheduler can coalesce it with other pipelines' transforms
+// (witrack-svc's cross-session batching). RFFT must leave sp.Dst
+// bit-identical to plan.RFFTSpans over sp alone — it may only change
+// when and alongside what the butterflies execute, never the per-sweep
+// arithmetic. sp.Dst arrives sized for sp's sweeps; the call blocks
+// until the results are in it, and must not retain the span afterwards.
 type RFFTBatcher interface {
-	RFFTBatch(plan *dsp.Plan, dst []complex128, sweeps [][]float64, window []float64) []complex128
-	// RFFTBatchInt16 is the quantized-sweep form of the same contract:
-	// results must be bit-identical to
-	// plan.RFFTBatchInt16(dst, sweeps, scale, window).
-	RFFTBatchInt16(plan *dsp.Plan, dst []complex128, sweeps [][]int16, scale float64, window []float64) []complex128
+	RFFT(plan *dsp.Plan, sp dsp.RFFTSpan)
 }
 
+// SweepScratch owns the reusable buffers of the time-domain sweep path:
+// the RFFT arena and (for the full slow-synthesis entry points) the
+// per-sweep sample buffers. A scratch must be owned by exactly one
+// goroutine — each pipeline worker holds its own, while the
+// synthesizer's immutable FFT plan is shared by all of them.
 type SweepScratch struct {
-	prec dsp.Precision
-	plan *dsp.Plan
-	// batcher, when non-nil, intercepts the float64 frame transform (the
-	// Float32 path keeps its private Plan32 batch — the cross-session
-	// scheduler is a float64 surface, matching the golden-pinned path).
+	// batcher, when non-nil, runs the frame transform in place of the
+	// direct plan call.
 	batcher RFFTBatcher
-	// spec is the float64 RFFT batch arena: one frame's sweeps are
-	// transformed in a single RFFTBatch call, SweepsPerFrame segments of
-	// FFTSize/2 + 1 bins each.
+	// spec is the RFFT arena: one frame's sweeps are transformed in a
+	// single RFFTSpans call, one segment of FFTSize/2 + 1 bins per sweep.
 	spec []complex128
-	// plan32/spec32 are the single-precision twins, built only when the
-	// scratch runs at Float32.
-	plan32 *dsp.Plan32
-	spec32 []complex64
+	// segs is the RFFTSpans gather-list scratch of the direct call.
+	segs [][]complex128
 	// sweeps are SweepsPerFrame time-domain sample buffers.
 	sweeps [][]float64
 }
 
-// NewSweepScratch builds a float64 scratch sized for this synthesizer's
-// radio configuration. The per-sweep sample buffers are grown lazily by
-// the slow-synthesis entry points, so workers that only transform
-// externally supplied sweeps don't pay for them.
+// NewSweepScratch builds an empty scratch. Its buffers are sized by the
+// first frame that uses them and reused from then on, so the
+// steady-state path allocates nothing, and workers that only transform
+// externally supplied sweeps never pay for the sample buffers of the
+// slow-synthesis entry points.
 func (s *Synthesizer) NewSweepScratch() *SweepScratch {
-	return s.NewSweepScratchPrecision(dsp.Float64)
+	return &SweepScratch{}
 }
 
-// NewSweepScratchPrecision builds a scratch running the sweep hot loop
-// at the given precision. The batch arenas are allocated up front (one
-// frame's worth of RFFT output), so the steady-state path allocates
-// nothing.
-func (s *Synthesizer) NewSweepScratchPrecision(prec dsp.Precision) *SweepScratch {
-	bins := s.cfg.FFTSize()/2 + 1
-	ws := &SweepScratch{
-		prec: prec,
-		plan: s.plan,
-		spec: make([]complex128, s.cfg.SweepsPerFrame*bins),
-	}
-	if prec == dsp.Float32 {
-		ws.plan32 = dsp.Plan32For(s.cfg.FFTSize())
-		ws.spec32 = make([]complex64, s.cfg.SweepsPerFrame*bins)
-	}
-	return ws
+// Precision admits a single value, the float64 sweep path, so no
+// arithmetic width can be chosen.
+//
+// Deprecated: the sweep path always runs in float64.
+type Precision struct{}
+
+// NewSweepScratchPrecision is NewSweepScratch.
+//
+// Deprecated: use NewSweepScratch.
+func (s *Synthesizer) NewSweepScratchPrecision(Precision) *SweepScratch {
+	return s.NewSweepScratch()
 }
 
-// Precision reports which sweep path the scratch drives.
-func (ws *SweepScratch) Precision() dsp.Precision { return ws.prec }
-
-// SetBatcher routes the scratch's float64 frame transforms through b —
-// nil restores the direct plan call. Output is bit-identical either way
+// SetBatcher routes the scratch's frame transforms through b — nil
+// restores the direct plan call. Output is bit-identical either way
 // (the RFFTBatcher contract); only the scheduling of the butterflies
 // changes, so installing a batcher never perturbs the golden digests.
 func (ws *SweepScratch) SetBatcher(b RFFTBatcher) { ws.batcher = b }
-
-// Float32ErrorBound returns the tolerance the Float32 sweep path is
-// gated by: the maximum per-bin error of a transformed sweep relative to
-// the float64 reference's peak bin (see dsp.Plan32.ErrorBound). The
-// coherent frame average only shrinks it — averaging is a convex
-// combination of per-sweep spectra.
-func (s *Synthesizer) Float32ErrorBound() float64 {
-	return dsp.Plan32For(s.cfg.FFTSize()).ErrorBound()
-}
 
 // kernelHalfWidth is how many bins of spectral leakage the fast path
 // keeps on each side of a tone. Beyond ~8 bins a Hann kernel is > 60 dB
@@ -150,7 +117,7 @@ func NewSynthesizer(cfg Config) *Synthesizer {
 	}
 	ns := cfg.SamplesPerSweep()
 	w := dsp.Hann(ns)
-	s := &Synthesizer{cfg: cfg, window: w, window32: dsp.Window32(w)}
+	s := &Synthesizer{cfg: cfg, window: w}
 	sumW, sumW2 := 0.0, 0.0
 	for _, v := range w {
 		sumW += v
@@ -246,67 +213,32 @@ func (s *Synthesizer) ComplexFrameFromSweeps(sweeps [][]float64) dsp.ComplexFram
 // ComplexFrameFromSweepsInto is ComplexFrameFromSweeps against
 // caller-owned buffers: the averaged frame lands in dst (reallocated
 // only when the length is wrong) and all intermediate work runs in ws,
-// so a streaming caller allocates nothing. The frame's sweeps are
-// windowed and transformed in one RFFTBatch call — all sweeps share a
-// single pass over each stage's twiddle table, and each sweep's bins are
-// bit-identical to a sequential RealTransform (the accumulation order is
-// also unchanged, so the float64 path stays pinned to the golden
-// digests). At Precision == Float32 the batch runs through the shared
-// Plan32 instead and the averaged complex64 bins are widened into dst;
-// that path is gated by Float32ErrorBound, not bit-exactness.
+// so a streaming caller allocates nothing.
 func (s *Synthesizer) ComplexFrameFromSweepsInto(dst dsp.ComplexFrame, sweeps [][]float64, ws *SweepScratch) dsp.ComplexFrame {
-	nb := s.cfg.RangeBins()
-	if len(dst) != nb {
-		dst = make(dsp.ComplexFrame, nb)
-	} else {
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
-	seg := s.cfg.FFTSize()/2 + 1
-	if ws.prec == dsp.Float32 {
-		ws.spec32 = ws.plan32.RFFTBatch(ws.spec32, sweeps, s.window32)
-		inv := float32(1) / float32(len(sweeps))
-		for i := range dst {
-			var acc complex64
-			for j := range sweeps {
-				acc += ws.spec32[j*seg+i]
-			}
-			acc *= complex(inv, 0)
-			dst[i] = complex128(acc)
-		}
-		return dst
-	}
-	if ws.batcher != nil {
-		ws.spec = ws.batcher.RFFTBatch(ws.plan, ws.spec, sweeps, s.window)
-	} else {
-		ws.spec = ws.plan.RFFTBatch(ws.spec, sweeps, s.window)
-	}
-	for j := range sweeps {
-		bins := ws.spec[j*seg : j*seg+nb]
-		for i := range dst {
-			dst[i] += bins[i]
-		}
-	}
-	inv := complex(1/float64(len(sweeps)), 0)
-	for i := range dst {
-		dst[i] *= inv
-	}
-	return dst
+	return s.frameFromSpan(dst, dsp.RFFTSpan{Sweeps: sweeps}, ws)
 }
 
 // ComplexFrameFromSweepsInt16Into is ComplexFrameFromSweepsInto over
-// quantized int16 sweeps: the same window + RFFT + coherent-average
-// frame processing, entered through the fused dequantize+window kernels
-// (dsp.Plan.RFFTBatchInt16) so the samples stay on their compact wire
-// representation until they are packed into the FFT working buffer.
-// The output is bit-identical to dequantizing every sweep into float64
-// and calling ComplexFrameFromSweepsInto — the fused kernels' pinned
-// contract — so the only deviation from the unquantized path is the
-// quantization itself, bounded by QuantErrorBound(scale). Batcher
-// interception and the Float32 precision knob compose with it exactly
-// as on the float64 entry point.
+// quantized int16 sweeps, entered through the fused dequantize+window
+// kernel (dsp.Plan.WindowPackInt16) so the samples stay on their
+// compact wire representation until they are packed into the FFT
+// working buffer. The output is bit-identical to dequantizing every
+// sweep into float64 and calling ComplexFrameFromSweepsInto — the fused
+// kernel's pinned contract — so the only deviation from the unquantized
+// path is the quantization itself, bounded by QuantErrorBound(scale).
 func (s *Synthesizer) ComplexFrameFromSweepsInt16Into(dst dsp.ComplexFrame, sweeps [][]int16, scale float64, ws *SweepScratch) dsp.ComplexFrame {
+	return s.frameFromSpan(dst, dsp.RFFTSpan{SweepsI16: sweeps, Scale: scale}, ws)
+}
+
+// frameFromSpan is the one frame body behind both entry points: it
+// windows and transforms all of sp's sweeps in one RFFTSpans call —
+// every sweep shares a single pass over each stage's twiddle table, and
+// each sweep's bins are bit-identical to a sequential RealTransform —
+// then coherently averages them in sweep order (the accumulation order
+// the golden digests pin). The arena is sized to the frame's sweep
+// count, so a frame with more or fewer sweeps than the radio's resizes
+// it and the next normal frame resizes it back.
+func (s *Synthesizer) frameFromSpan(dst dsp.ComplexFrame, sp dsp.RFFTSpan, ws *SweepScratch) dsp.ComplexFrame {
 	nb := s.cfg.RangeBins()
 	if len(dst) != nb {
 		dst = make(dsp.ComplexFrame, nb)
@@ -315,32 +247,27 @@ func (s *Synthesizer) ComplexFrameFromSweepsInt16Into(dst dsp.ComplexFrame, swee
 			dst[i] = 0
 		}
 	}
+	n := sp.Len()
 	seg := s.cfg.FFTSize()/2 + 1
-	if ws.prec == dsp.Float32 {
-		ws.spec32 = ws.plan32.RFFTBatchInt16(ws.spec32, sweeps, scale, s.window32)
-		inv := float32(1) / float32(len(sweeps))
-		for i := range dst {
-			var acc complex64
-			for j := range sweeps {
-				acc += ws.spec32[j*seg+i]
-			}
-			acc *= complex(inv, 0)
-			dst[i] = complex128(acc)
-		}
-		return dst
+	if len(ws.spec) != n*seg {
+		ws.spec = make([]complex128, n*seg)
+		ws.segs = make([][]complex128, 0, n)
 	}
+	sp.Dst = ws.spec
+	sp.Window = s.window
 	if ws.batcher != nil {
-		ws.spec = ws.batcher.RFFTBatchInt16(ws.plan, ws.spec, sweeps, scale, s.window)
+		ws.batcher.RFFT(s.plan, sp)
 	} else {
-		ws.spec = ws.plan.RFFTBatchInt16(ws.spec, sweeps, scale, s.window)
+		spans := [1]dsp.RFFTSpan{sp}
+		ws.segs = s.plan.RFFTSpans(spans[:], ws.segs)
 	}
-	for j := range sweeps {
+	for j := 0; j < n; j++ {
 		bins := ws.spec[j*seg : j*seg+nb]
 		for i := range dst {
 			dst[i] += bins[i]
 		}
 	}
-	inv := complex(1/float64(len(sweeps)), 0)
+	inv := complex(1/float64(n), 0)
 	for i := range dst {
 		dst[i] *= inv
 	}

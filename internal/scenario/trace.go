@@ -275,14 +275,6 @@ func ReplayTraceOpts(ctx context.Context, r io.Reader, opts ReplayOptions) (*Rep
 	if got := c.CalibrateFrames; got != h.CalibrateFrames {
 		return nil, fmt.Errorf("scenario %q: provenance compiles to %d calibration frames, trace recorded %d", sp.Name, got, h.CalibrateFrames)
 	}
-	if h.Domain == trace.DomainSweeps {
-		if got := c.Config.Radio.SweepsPerFrame; got != h.SweepsPerFrame {
-			return nil, fmt.Errorf("scenario %q: provenance compiles to %d sweeps per frame, sweep trace recorded %d", sp.Name, got, h.SweepsPerFrame)
-		}
-		if got := c.Config.Radio.SamplesPerSweep(); got != h.SamplesPerSweep {
-			return nil, fmt.Errorf("scenario %q: provenance compiles to %d samples per sweep, sweep trace recorded %d", sp.Name, got, h.SamplesPerSweep)
-		}
-	}
 	if (h.Sample == trace.SampleInt16) != (c.Config.Radio.ADCBits > 0) {
 		return nil, fmt.Errorf("scenario %q: provenance compiles to ADCBits=%d, trace sample encoding is %q", sp.Name, c.Config.Radio.ADCBits, h.Sample)
 	}
@@ -291,17 +283,15 @@ func ReplayTraceOpts(ctx context.Context, r io.Reader, opts ReplayOptions) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	// The replaying device must read the trace in the shape it would have
-	// recorded it: a bin count, sweep shape or quantizer scale (derived
-	// from the deployment's static environment) that differs from what
-	// the provenance compiles to would mis-size or mis-dequantize every
-	// frame.
+	// The replaying device must dequantize the trace with the scale it
+	// would have recorded it with: a quantizer scale (derived from the
+	// deployment's static environment) that differs from what the
+	// provenance compiles to would mis-dequantize every frame. StreamFrom
+	// refuses a record shape (bin count, sweep shape) the device would
+	// not have written.
 	want := dev.TraceHeader()
 	if h.Domain == trace.DomainSweeps {
 		want = dev.SweepTraceHeader()
-	}
-	if h.Bins != want.Bins {
-		return nil, fmt.Errorf("scenario %q: provenance compiles to %d bins per record, trace header says %d", sp.Name, want.Bins, h.Bins)
 	}
 	if h.ADCScale != want.ADCScale {
 		return nil, fmt.Errorf("scenario %q: provenance compiles to ADC scale %g, trace recorded %g", sp.Name, want.ADCScale, h.ADCScale)

@@ -53,7 +53,6 @@ import (
 
 	"witrack/internal/body"
 	"witrack/internal/core"
-	"witrack/internal/dsp"
 	"witrack/internal/fall"
 	"witrack/internal/fault"
 	"witrack/internal/fmcw"
@@ -108,21 +107,6 @@ type (
 	// FrameSource is the pipeline's stage-1 frame source interface (a
 	// recorded trace, a hardware front end).
 	FrameSource = core.FrameSource
-	// Precision selects the arithmetic width of the time-domain sweep
-	// processing (Config.Precision): Float64 (the default, bit-for-bit
-	// reproducible and pinned by the golden digests) or Float32 (the
-	// fast path, within a stated error bound of the float64 spectra —
-	// see README "Performance").
-	Precision = dsp.Precision
-)
-
-// The two sweep-processing precisions.
-const (
-	// Float64 runs the windowed-FFT sweep path in complex128.
-	Float64 = dsp.Float64
-	// Float32 runs it in complex64: half the memory traffic, every
-	// spectrum bin within the plan's analytic error bound.
-	Float32 = dsp.Float32
 )
 
 // The four §9.5 activities.
