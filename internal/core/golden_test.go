@@ -121,15 +121,16 @@ func TestSlowSynthPipelineMatchesSerial(t *testing.T) {
 }
 
 // recordTraceBytes captures the trajectory on a fresh device into an
-// in-memory .wtrace and returns its bytes.
-func recordTraceBytes(t *testing.T, cfg Config, traj motion.Trajectory) []byte {
+// in-memory .wtrace opened with the device's header (TraceHeader or
+// SweepTraceHeader) and returns its bytes.
+func recordTraceBytes(t *testing.T, cfg Config, header func(*Device) trace.Header, traj motion.Trajectory) []byte {
 	t.Helper()
 	dev, err := NewDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, dev.TraceHeader())
+	tw, err := trace.NewWriter(&buf, header(dev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestTraceReplayMatchesLive(t *testing.T) {
 			cfg.SlowSynth = tc.slow
 			traj := testWalk(tc.duration, 29)
 
-			data := recordTraceBytes(t, cfg, traj)
+			data := recordTraceBytes(t, cfg, (*Device).TraceHeader, traj)
 			t.Logf("trace: %d bytes for %.1f s", len(data), tc.duration)
 
 			liveDev, err := NewDevice(cfg)
@@ -220,7 +221,8 @@ func TestTraceReplayMatchesLive(t *testing.T) {
 // TestTraceReplayAllocsPerFrame extends the steady-state allocation
 // budget to the on-disk replay path: streaming a trace through
 // TraceSource (decompression + delta decode into pooled batches) must
-// average at most 5 heap allocations per frame, like live synthesis.
+// average at most 5 heap allocations per frame, like live synthesis, on
+// every record encoding: range bins, float64 sweeps and int16 ADC codes.
 func TestTraceReplayAllocsPerFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second streaming runs")
@@ -228,44 +230,58 @@ func TestTraceReplayAllocsPerFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the budget only holds on plain builds")
 	}
-	cfg := DefaultConfig()
-	cfg.Seed = 11
-	data := recordTraceBytes(t, cfg, testWalk(6, 31))
+	bins := DefaultConfig()
+	bins.Seed = 11
+	sweeps := bins
+	sweeps.SlowSynth = true
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		header  func(*Device) trace.Header
+		seconds float64
+	}{
+		{"bins", bins, (*Device).TraceHeader, 6},
+		{"sweeps-float64", sweeps, (*Device).SweepTraceHeader, 2},
+		{"sweeps-int16", quantConfig(11), (*Device).SweepTraceHeader, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := recordTraceBytes(t, tc.cfg, tc.header, testWalk(tc.seconds, 31))
+			dev, err := NewDevice(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replay := func() int {
+				tr, err := trace.NewReader(bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := NewTraceSource(tr)
+				ch, err := dev.StreamFrom(context.Background(), src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames := 0
+				for range ch {
+					frames++
+				}
+				if err := src.Err(); err != nil {
+					t.Fatal(err)
+				}
+				return frames
+			}
 
-	dev, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := func() int {
-		tr, err := trace.NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := NewTraceSource(tr)
-		ch, err := dev.StreamFrom(context.Background(), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames := 0
-		for range ch {
-			frames++
-		}
-		if err := src.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return frames
-	}
-
-	replay() // warm the trackers' and decoder path's one-time buffers
-	dev.Reset()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	frames := replay()
-	runtime.ReadMemStats(&m1)
-	perFrame := float64(m1.Mallocs-m0.Mallocs) / float64(frames)
-	t.Logf("%.2f allocs/frame over %d replayed frames", perFrame, frames)
-	if perFrame > 5 {
-		t.Fatalf("%.2f allocs/frame exceeds the 5/frame replay budget", perFrame)
+			replay() // warm the trackers' and decoder path's one-time buffers
+			dev.Reset()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			frames := replay()
+			runtime.ReadMemStats(&m1)
+			perFrame := float64(m1.Mallocs-m0.Mallocs) / float64(frames)
+			t.Logf("%.2f allocs/frame over %d replayed frames", perFrame, frames)
+			if perFrame > 5 {
+				t.Fatalf("%.2f allocs/frame exceeds the 5/frame replay budget", perFrame)
+			}
+		})
 	}
 }
 

@@ -106,11 +106,11 @@ func (s *TraceSource) Next() *FrameBatch {
 	b.Frames = frames
 	b.States = truths
 	b.synth = nil
-	b.sweeps = nil
 	b.sweeps16 = nil
 	if s.r.Header().Domain == trace.DomainSweeps {
 		err = s.unpackSweeps(b, frames)
 	} else {
+		b.sweeps = nil
 		err = checkBins(frames, s.r.Header().Bins)
 	}
 	if err != nil {

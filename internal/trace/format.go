@@ -62,6 +62,12 @@
 // A reader that hits end-of-stream before the trailer, or any CRC or
 // sequencing violation, reports ErrCorrupt — truncated or bit-flipped
 // traces never decode silently and never panic.
+//
+// The body is a standard gzip member (RFC 1952), written by
+// compress/gzip at BestCompression, so any gzip tool reads it. Reader
+// decodes it with the package's own allocation-free DEFLATE decoder
+// (inflate.go), which accepts and rejects exactly the streams
+// compress/gzip does and is tested against it as the oracle.
 package trace
 
 import (

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -18,12 +17,13 @@ import (
 // stream that ends before the trailer — surfaces as an error wrapping
 // ErrCorrupt, never as a panic or a silently short trace.
 type Reader struct {
-	zr     *gzip.Reader
+	zr     inflater
 	h      Header
 	buf    []byte
 	prev   [][]uint64
 	prev16 [][]int16
 	tbuf   []motion.BodyState // ReadFrameInto's reusable truth scratch
+	word   [12]byte           // length/CRC/trailer scratch
 	n      int
 	done   bool
 	err    error // sticky
@@ -72,18 +72,16 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: opening compressed body: %v", ErrCorrupt, err)
-	}
-	zr.Multistream(false)
-	return &Reader{
-		zr:      zr,
+	tr := &Reader{
 		h:       h,
 		prev:    make([][]uint64, h.NumRx),
 		prev16:  make([][]int16, h.NumRx),
 		lastIdx: -1,
-	}, nil
+	}
+	if err := tr.zr.start(r); err != nil {
+		return nil, fmt.Errorf("%w: opening compressed body: %v", ErrCorrupt, err)
+	}
+	return tr, nil
 }
 
 // SetRecover switches the reader into (or out of) recover mode: a
@@ -204,13 +202,7 @@ func (tr *Reader) ReadFrameTruthsInto(dst []dsp.ComplexFrame, tdst []motion.Body
 		if len(tr.prev[k]) != 2*bins {
 			tr.prev[k] = make([]uint64, 2*bins)
 		}
-		p := tr.prev[k]
-		for i := 0; i < bins; i++ {
-			re := c.u64() ^ p[2*i]
-			im := c.u64() ^ p[2*i+1]
-			p[2*i], p[2*i+1] = re, im
-			dst[k][i] = complex(math.Float64frombits(re), math.Float64frombits(im))
-		}
+		unxor64(dst[k], tr.prev[k], c.bytes(16*bins))
 	}
 	if c.bad {
 		return nil, nil, tr.fail("frame %d: record too short", tr.seq)
@@ -290,14 +282,7 @@ func (tr *Reader) ReadFrameInt16Into(dst [][]int16, tdst []motion.BodyState) ([]
 		if len(tr.prev16[k]) != n {
 			tr.prev16[k] = make([]int16, n)
 		}
-		p := tr.prev16[k]
-		for i := 0; i < n; i++ {
-			// Wrapping addition inverts the writer's wrapping subtraction
-			// exactly.
-			v := p[i] + int16(c.u16())
-			p[i] = v
-			dst[k][i] = v
-		}
+		undelta16(dst[k], tr.prev16[k], c.bytes(2*n))
 	}
 	if c.bad {
 		return nil, nil, tr.fail("frame %d: record too short", tr.seq)
@@ -319,12 +304,12 @@ func (tr *Reader) ReadFrameInt16Into(dst [][]int16, tdst []motion.BodyState) ([]
 // handles the trailer (returning io.EOF via finish) and recover mode
 // (salvaging CRC-failed records and resyncing on the next one).
 func (tr *Reader) nextRecord() ([]byte, error) {
+	pre := tr.word[:4]
 	for {
-		var pre [4]byte
-		if _, err := io.ReadFull(tr.zr, pre[:]); err != nil {
+		if _, err := io.ReadFull(&tr.zr, pre); err != nil {
 			return nil, tr.fail("stream ended before trailer: %v", err)
 		}
-		plen := binary.LittleEndian.Uint32(pre[:])
+		plen := binary.LittleEndian.Uint32(pre)
 		if plen == trailerSentinel {
 			return nil, tr.finish()
 		}
@@ -335,13 +320,13 @@ func (tr *Reader) nextRecord() ([]byte, error) {
 			tr.buf = make([]byte, plen)
 		}
 		payload := tr.buf[:plen]
-		if _, err := io.ReadFull(tr.zr, payload); err != nil {
+		if _, err := io.ReadFull(&tr.zr, payload); err != nil {
 			return nil, tr.fail("truncated frame record: %v", err)
 		}
-		if _, err := io.ReadFull(tr.zr, pre[:]); err != nil {
+		if _, err := io.ReadFull(&tr.zr, pre); err != nil {
 			return nil, tr.fail("truncated frame CRC: %v", err)
 		}
-		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(pre[:]); got != want {
+		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(pre); got != want {
 			if tr.rec {
 				// Recover mode: advance the delta chain through the
 				// damaged record when its structure still parses, count
@@ -430,18 +415,15 @@ func (tr *Reader) salvageInt16(payload []byte) {
 			// starts from zero (the writer deltas frame 0 against zero).
 			tr.prev16[k] = make([]int16, n)
 		}
-		p := tr.prev16[k]
-		for i := 0; i < n; i++ {
-			p[i] += int16(c.u16())
-		}
+		undelta16(tr.prev16[k], tr.prev16[k], c.bytes(2*n))
 	}
 }
 
 // finish verifies the trailer and the compressed stream's own footer,
 // then marks the trace cleanly consumed.
 func (tr *Reader) finish() error {
-	var t [12]byte
-	if _, err := io.ReadFull(tr.zr, t[:]); err != nil {
+	t := tr.word[:12]
+	if _, err := io.ReadFull(&tr.zr, t); err != nil {
 		return tr.fail("truncated trailer: %v", err)
 	}
 	if got, want := crc32.ChecksumIEEE(t[:8]), binary.LittleEndian.Uint32(t[8:]); got != want {
@@ -455,8 +437,7 @@ func (tr *Reader) finish() error {
 	// Drain the gzip stream: this forces the decompressor to verify its
 	// own CRC/length footer (catching traces truncated inside the final
 	// deflate block) and rejects garbage between trailer and stream end.
-	var one [1]byte
-	switch _, err := tr.zr.Read(one[:]); err {
+	switch _, err := tr.zr.Read(tr.word[:1]); err {
 	case io.EOF:
 	case nil:
 		return tr.fail("data after trailer")
@@ -495,14 +476,15 @@ func (c *cursor) u8() byte {
 	return v
 }
 
-func (c *cursor) u16() uint16 {
-	if c.rem() < 2 {
+// bytes returns the next n bytes.
+func (c *cursor) bytes(n int) []byte {
+	if c.rem() < n {
 		c.bad = true
-		return 0
+		return nil
 	}
-	v := binary.LittleEndian.Uint16(c.b[c.i:])
-	c.i += 2
-	return v
+	b := c.b[c.i : c.i+n]
+	c.i += n
+	return b
 }
 
 func (c *cursor) u32() uint32 {
@@ -538,4 +520,37 @@ func (c *cursor) bodyState() motion.BodyState {
 	s.HandActive = c.u8() != 0
 	s.Hand.X, s.Hand.Y, s.Hand.Z = c.f64(), c.f64(), c.f64()
 	return s
+}
+
+// unxor64 decodes one antenna's float64 body: body holds len(dst)
+// (re, im) pairs of little-endian bit patterns XORed against prev,
+// which advances to this frame's patterns.
+func unxor64(dst dsp.ComplexFrame, prev []uint64, body []byte) {
+	for i := range dst {
+		if len(prev) < 2 || len(body) < 16 {
+			return
+		}
+		re := binary.LittleEndian.Uint64(body) ^ prev[0]
+		im := binary.LittleEndian.Uint64(body[8:]) ^ prev[1]
+		prev[0], prev[1] = re, im
+		dst[i] = complex(math.Float64frombits(re), math.Float64frombits(im))
+		prev, body = prev[2:], body[16:]
+	}
+}
+
+// undelta16 decodes one antenna's int16 body: body holds len(dst)
+// little-endian wrapping deltas against prev, which advances to this
+// frame's codes. Wrapping addition inverts the writer's wrapping
+// subtraction exactly. dst may be prev itself.
+func undelta16(dst, prev []int16, body []byte) {
+	prev = prev[:len(dst)]
+	for i := range dst {
+		if len(body) < 2 {
+			return
+		}
+		v := prev[i] + int16(binary.LittleEndian.Uint16(body))
+		prev[i] = v
+		dst[i] = v
+		body = body[2:]
+	}
 }
