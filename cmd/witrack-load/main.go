@@ -16,23 +16,20 @@
 //
 //	witrack-load -mgmt http://host:port [-sessions n] [-min-duration d]
 //	             [-pace] [-json out.json] [-diff CORPUS.json]
-//	             [-sweeps] [-min-coalesced frac]
+//	             [-sweeps]
 //	             [trace.wtrace...]
 //
 // With -pace each stream is spread over its recorded duration, so the
 // served lag samples measure real fix latency; unpaced runs drive the
 // daemon flat out and the percentiles measure throughput instead.
 //
-// With -sweeps the corpus gains a generated sweep-domain trace (the
-// compact scenario.SweepCell, recorded in memory — raw sweeps do not
-// compress well enough to check in): every served frame runs the full
-// window + RFFT path, which is the workload the daemon's cross-session
-// batch scheduler coalesces. The trace is replayed offline in-process
-// first and that result seeds the determinism check, so every served
-// session must match the offline replay bit-for-bit. -min-coalesced
-// then asserts the aggregate multi-session coalescing fraction
-// (coalesced transforms / submitted transforms across all summaries)
-// reached the given floor.
+// With -sweeps the corpus gains two generated sweep-domain traces (the
+// compact scenario.SweepCell and its int16 twin, recorded in memory —
+// raw sweeps do not compress well enough to check in): every served
+// frame runs the full window + RFFT path. Each trace is replayed
+// offline in-process first and that result seeds the determinism
+// check, so every served session must match the offline replay
+// bit-for-bit.
 //
 // Exit status: 0 success, 1 session failure, non-deterministic serving,
 // or snapshot drift, 2 bad usage.
@@ -79,14 +76,6 @@ type Timing struct {
 	FixLatencyP50  float64 `json:"fix_latency_ms_p50"`
 	FixLatencyP99  float64 `json:"fix_latency_ms_p99"`
 	LatencySamples int     `json:"latency_samples"`
-	// BatchSubmitted / BatchCoalesced aggregate the sessions' sweep-path
-	// transforms routed through the daemon's cross-session batch
-	// scheduler and how many rode a combined call with another session;
-	// CoalescedFrac is their ratio. Zero without -sweeps (bin-domain
-	// corpus traces perform no transforms).
-	BatchSubmitted int64   `json:"batch_submitted,omitempty"`
-	BatchCoalesced int64   `json:"batch_coalesced,omitempty"`
-	CoalescedFrac  float64 `json:"coalesced_frac,omitempty"`
 	// IngestBytes is the total compressed trace bytes streamed into the
 	// daemon across all sessions; BytesPerFrame and IngestMBps derive
 	// the per-frame ingest cost and the aggregate ingest bandwidth —
@@ -113,7 +102,6 @@ func main() {
 	jsonPath := flag.String("json", "", "write the machine-readable load report to this path")
 	diffPath := flag.String("diff", "", "compare served replay results against this snapshot (CORPUS.json) and fail on drift")
 	sweeps := flag.Bool("sweeps", false, "add a generated sweep-domain trace whose served results must match its offline replay")
-	minCoalesced := flag.Float64("min-coalesced", -1, "fail unless the aggregate multi-session coalescing fraction reaches this floor (requires -sweeps)")
 	flag.Parse()
 	if flag.NArg() == 0 && !*sweeps {
 		fmt.Fprintln(os.Stderr, "witrack-load: no trace files given (and -sweeps not set)")
@@ -122,10 +110,6 @@ func main() {
 	}
 	if *sessions < 1 {
 		fmt.Fprintln(os.Stderr, "witrack-load: -sessions must be at least 1")
-		os.Exit(2)
-	}
-	if *minCoalesced >= 0 && !*sweeps {
-		fmt.Fprintln(os.Stderr, "witrack-load: -min-coalesced needs -sweeps (bin-domain traces perform no transforms)")
 		os.Exit(2)
 	}
 
@@ -145,7 +129,7 @@ func main() {
 	if *sweeps {
 		// Both sweep encodings soak: the float64 cell and its quantized
 		// int16 twin, so the fused dequantize+window ingest path is
-		// exercised (and coalesced) alongside the full-precision one.
+		// exercised alongside the full-precision one.
 		for _, sp := range []scenario.Spec{scenario.SweepCell(), scenario.SweepCellInt16()} {
 			lt, offline, err := genSweepTrace(sp)
 			if err != nil {
@@ -201,8 +185,6 @@ func main() {
 		for _, sum := range summaries {
 			if sum.Timing != nil {
 				lagMS = append(lagMS, sum.Timing.LagMS...)
-				timing.BatchSubmitted += sum.Timing.BatchSubmitted
-				timing.BatchCoalesced += sum.Timing.BatchCoalesced
 			}
 		}
 	}
@@ -214,9 +196,6 @@ func main() {
 	timing.FixLatencyP50 = percentile(lagMS, 50)
 	timing.FixLatencyP99 = percentile(lagMS, 99)
 	timing.LatencySamples = len(lagMS)
-	if timing.BatchSubmitted > 0 {
-		timing.CoalescedFrac = float64(timing.BatchCoalesced) / float64(timing.BatchSubmitted)
-	}
 	if timing.TotalFrames > 0 {
 		timing.BytesPerFrame = float64(timing.IngestBytes) / float64(timing.TotalFrames)
 	}
@@ -240,10 +219,6 @@ func main() {
 		timing.AggregateFPS, timing.FixLatencyP50, timing.FixLatencyP99, timing.Paced)
 	fmt.Printf("witrack-load: ingested %.1f MB (%.0f bytes/frame, %.2f MB/s)\n",
 		float64(timing.IngestBytes)/1e6, timing.BytesPerFrame, timing.IngestMBps)
-	if timing.BatchSubmitted > 0 {
-		fmt.Printf("witrack-load: %d sweep transforms submitted, %d coalesced across sessions (%.1f%%)\n",
-			timing.BatchSubmitted, timing.BatchCoalesced, 100*timing.CoalescedFrac)
-	}
 
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(&report, "", "  ")
@@ -268,15 +243,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("served results match snapshot %s (%d traces)\n", *diffPath, len(report.Replay.Traces))
-	}
-
-	if *minCoalesced >= 0 {
-		if timing.CoalescedFrac < *minCoalesced {
-			fmt.Fprintf(os.Stderr, "witrack-load: coalescing fraction %.3f below the -min-coalesced floor %.3f (%d/%d transforms)\n",
-				timing.CoalescedFrac, *minCoalesced, timing.BatchCoalesced, timing.BatchSubmitted)
-			os.Exit(1)
-		}
-		fmt.Printf("coalescing fraction %.3f meets the %.3f floor\n", timing.CoalescedFrac, *minCoalesced)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command witrack-svc is the multi-tenant tracking daemon: a long-lived
 // process that serves many concurrent trace-replay sessions over one
 // shared worker pool, one decoded-frame arena, and the process-wide FFT
-// plan cache. Sessions are created over the management HTTP API and fed
+// plan and window-kernel caches. Sessions are created over the management HTTP API and fed
 // framed .wtrace streams over the TCP ingest plane (or POSTed over
 // HTTP); each session scores its stream with the exact replay path
 // witrack-replay uses, so served metrics are bit-identical to a
@@ -12,13 +12,14 @@
 //	witrack-svc [-ingest host:port] [-mgmt host:port] [-pool n]
 //	            [-max-sessions n] [-queue-depth n]
 //	            [-shed-after d] [-frame-deadline d]
-//	            [-gather-window d] [-max-batch n]
 //
 // Management API (all JSON):
 //
 //	GET    /healthz              liveness
 //	GET    /info                 ingest address, session counts, pool size
-//	POST   /sessions             create a session (svc.CreateRequest body)
+//	POST   /sessions             create a session (svc.CreateRequest body;
+//	                             400 on a queue_depth above svc.MaxQueueDepth,
+//	                             429 past -max-sessions)
 //	GET    /sessions             list all sessions' stats
 //	GET    /sessions/{id}        one session's stats
 //	DELETE /sessions/{id}        cancel and remove a session
@@ -49,8 +50,6 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0, "per-session ingest queue depth, in 32 KiB chunks (0 = default)")
 	shedAfter := flag.Duration("shed-after", 0, "patience before a full ingest queue sheds its session (0 = default)")
 	frameDeadline := flag.Duration("frame-deadline", 0, "per-session stall watchdog; negative disables (0 = default)")
-	gatherWindow := flag.Duration("gather-window", 0, "how long a sweep-path FFT waits for other sessions to join its batch (0 = default)")
-	maxBatch := flag.Int("max-batch", 0, "sweep segments per combined FFT call before it executes early (0 = default)")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "witrack-svc: unexpected arguments")
@@ -64,8 +63,6 @@ func main() {
 		QueueDepth:    *queueDepth,
 		ShedAfter:     *shedAfter,
 		FrameDeadline: *frameDeadline,
-		GatherWindow:  *gatherWindow,
-		MaxBatch:      *maxBatch,
 	})
 	if err := srv.Start(*ingest, *mgmt); err != nil {
 		fmt.Fprintln(os.Stderr, "witrack-svc:", err)

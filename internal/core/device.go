@@ -95,10 +95,10 @@ type RunResult struct {
 // one trajectory at a time: Run and Stream drive the same staged
 // pipeline over the device's trackers and RNG and must not be called
 // concurrently on one device. Everything it shares with MultiDevice —
-// the simulator, the pipeline settings (Workers, Pool, Batch,
-// MonitorHealth, FrameDeadline), fault injection, recording and Reset —
-// lives in the embedded shell; Device adds the one-round-trip trackers,
-// the Solve/SolveMasked fuse and the diagnostics of Run.
+// the simulator, the pipeline settings (Workers, Pool, MonitorHealth,
+// FrameDeadline), fault injection, recording and Reset — lives in the
+// embedded shell; Device adds the one-round-trip trackers, the
+// Solve/SolveMasked fuse and the diagnostics of Run.
 type Device struct {
 	shell[*track.Tracker]
 

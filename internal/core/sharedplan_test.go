@@ -8,17 +8,18 @@ import (
 	"witrack/internal/motion"
 )
 
-// TestSharedPlanConcurrentSessionsBitIdentical proves the FFT plan
+// TestSharedPlanConcurrentSessionsBitIdentical proves the table
 // sharing behind multi-session serving: two sessions running the
 // time-domain sweep path concurrently in one process — both pulling
-// their plans from the global dsp.PlanFor cache and their scratch from
-// per-worker arenas — produce output bit-identical to the same two
-// workloads run in isolation (each alone in the process, the moral
-// equivalent of two separate processes). The plan tables are immutable
-// after construction and every mutable FFT buffer is per-antenna
-// scratch, so sharing the cache can change cache-hit timing only, never
-// an output bit. Run under -race this doubles as the data-race proof
-// for the shared cache.
+// their plans from the global dsp.PlanFor cache, their window kernels
+// from fmcw's kernel-table cache, and their scratch from per-worker
+// arenas — produce output bit-identical to the same two workloads run
+// in isolation (each alone in the process, the moral equivalent of two
+// separate processes). The shared tables are immutable after
+// construction and every mutable FFT buffer is per-antenna scratch, so
+// sharing the caches can change cache-hit timing only, never an output
+// bit. Run under -race this doubles as the data-race proof for the
+// shared caches.
 func TestSharedPlanConcurrentSessionsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("time-domain synthesis is slow; skipped with -short")
@@ -34,12 +35,11 @@ func TestSharedPlanConcurrentSessionsBitIdentical(t *testing.T) {
 			motion.Region{XMin: -2, XMax: 2, YMin: 3, YMax: 6},
 			cfg.Subject.CenterHeight(), 1.2, cfg.Seed+100))
 	}
-	run := func(cfg Config, traj motion.Trajectory, batch *BatchClient) uint64 {
+	run := func(cfg Config, traj motion.Trajectory) uint64 {
 		dev, err := NewDevice(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev.Batch = batch
 		return goldenHash(drain(dev.Stream(context.Background(), traj)))
 	}
 
@@ -47,15 +47,15 @@ func TestSharedPlanConcurrentSessionsBitIdentical(t *testing.T) {
 	trajA, trajB := mkTraj(cfgA), mkTraj(cfgB)
 
 	// Isolated runs: one at a time, nothing else touching the plan cache.
-	wantA := run(cfgA, trajA, nil)
-	wantB := run(cfgB, trajB, nil)
+	wantA := run(cfgA, trajA)
+	wantB := run(cfgB, trajB)
 
 	// Shared run: both sessions in flight at once, racing on PlanFor.
 	var wg sync.WaitGroup
 	var gotA, gotB uint64
 	wg.Add(2)
-	go func() { defer wg.Done(); gotA = run(cfgA, trajA, nil) }()
-	go func() { defer wg.Done(); gotB = run(cfgB, trajB, nil) }()
+	go func() { defer wg.Done(); gotA = run(cfgA, trajA) }()
+	go func() { defer wg.Done(); gotB = run(cfgB, trajB) }()
 	wg.Wait()
 
 	if gotA != wantA {
@@ -63,31 +63,5 @@ func TestSharedPlanConcurrentSessionsBitIdentical(t *testing.T) {
 	}
 	if gotB != wantB {
 		t.Fatalf("session B diverged when sharing the plan cache: digest %#x, want %#x", gotB, wantB)
-	}
-
-	// Coalesced run: both sessions route their RFFTs through one
-	// cross-session BatchScheduler, so frames from A and B ride combined
-	// stage-interleaved transforms. Coalescing may change which call
-	// computes a frame's spectrum, never its bits.
-	sched := NewBatchScheduler(0, 0)
-	clA, clB := sched.NewClient(), sched.NewClient()
-	wg.Add(2)
-	go func() { defer wg.Done(); gotA = run(cfgA, trajA, clA) }()
-	go func() { defer wg.Done(); gotB = run(cfgB, trajB, clB) }()
-	wg.Wait()
-
-	if gotA != wantA {
-		t.Fatalf("session A diverged under cross-session batching: digest %#x, want %#x", gotA, wantA)
-	}
-	if gotB != wantB {
-		t.Fatalf("session B diverged under cross-session batching: digest %#x, want %#x", gotB, wantB)
-	}
-	subA, _ := clA.Stats()
-	subB, _ := clB.Stats()
-	if subA == 0 || subB == 0 {
-		t.Fatalf("batched run never reached the scheduler (A submitted %d, B submitted %d)", subA, subB)
-	}
-	if batches, _ := sched.Stats(); batches == 0 {
-		t.Fatal("scheduler executed no combined calls")
 	}
 }

@@ -34,14 +34,6 @@ type PipelineConfig struct {
 	// is bit-identical either way (see WorkerPool).
 	Pool *WorkerPool
 
-	// Batch, when non-nil, routes this device's frame-level RFFT batch
-	// calls (the time-domain sweep path) through a shared cross-session
-	// BatchScheduler, so transforms land in combined stage-interleaved
-	// calls with every other pipeline on the same scheduler. Output is
-	// bit-identical with or without it (see BatchScheduler). nil (the
-	// default) keeps transforms private to this device.
-	Batch *BatchClient
-
 	// MonitorHealth turns on per-antenna health tracking even without an
 	// installed injector: unhealthy frames (NaN/Inf bins, all-zero) are
 	// quarantined before they reach the trackers, sustained damage takes
@@ -269,7 +261,7 @@ func (s *shell[T]) RecordTo(tw *trace.Writer, trajs ...motion.Trajectory) (int, 
 	frames := make([]dsp.ComplexFrame, len(s.cfg.Array.Rx))
 	var scratch []antennaScratch
 	if h.Domain != trace.DomainSweeps {
-		scratch = s.newScratch(nil)
+		scratch = make([]antennaScratch, len(s.cfg.Array.Rx))
 	}
 	n := 0
 	for b := src.Next(); b != nil; b = src.Next() {
@@ -353,16 +345,6 @@ func (s *shell[T]) checkSource(src FrameSource) error {
 	return nil
 }
 
-// newScratch returns one pipeline worker scratch per receive antenna,
-// routing sweep-path transforms through batch when it is non-nil.
-func (s *shell[T]) newScratch(batch *BatchClient) []antennaScratch {
-	scratch := make([]antennaScratch, len(s.cfg.Array.Rx))
-	for k := range scratch {
-		scratch[k].batch = batch
-	}
-	return scratch
-}
-
 // antennaScratch is one pipeline worker's per-antenna reusable buffers:
 // the path list, the spectrum frame, and the time-domain sweep scratch
 // (created on first use; it references the shared immutable FFT plan but
@@ -372,9 +354,6 @@ type antennaScratch struct {
 	paths []fmcw.Path
 	spec  dsp.ComplexFrame
 	sweep *fmcw.SweepScratch
-	// batch, when non-nil, is installed on the sweep scratch so this
-	// antenna's frame transforms coalesce with other pipelines'.
-	batch *BatchClient
 
 	// Fault-injection and health-monitoring state (used only on
 	// monitored pipelines): faultBuf is the corruption scratch copy,
@@ -421,13 +400,10 @@ func (w *antennaScratch) materialize(synth *fmcw.Synthesizer, prop *rf.Propagato
 }
 
 // sweepScratch returns the worker's time-domain sweep scratch, built on
-// first use with the worker's batch client installed.
+// first use.
 func (w *antennaScratch) sweepScratch(synth *fmcw.Synthesizer) *fmcw.SweepScratch {
 	if w.sweep == nil {
 		w.sweep = synth.NewSweepScratch()
-		if w.batch != nil {
-			w.sweep.SetBatcher(w.batch)
-		}
 	}
 	return w.sweep
 }
@@ -444,7 +420,7 @@ func (w *antennaScratch) sweepScratch(synth *fmcw.Synthesizer) *fmcw.SweepScratc
 func runStages[T tracker, E any](s *shell[T], ctx context.Context, src FrameSource,
 	track func(k int, frame dsp.ComplexFrame, healthy, dark bool) E,
 	fuse func(b *FrameBatch, rs []E) bool) {
-	scratch := s.newScratch(s.Batch)
+	scratch := make([]antennaScratch, len(s.cfg.Array.Rx))
 	s.runErr = nil
 	monitor := s.monitored()
 	src, wd := guardSource(src, s.faults, s.FrameDeadline)

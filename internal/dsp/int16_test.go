@@ -67,8 +67,8 @@ func TestWindowPackInt16MatchesStaged(t *testing.T) {
 	}
 }
 
-// TestRFFTSpansInt16BitIdentical extends the cross-session batching
-// oracle to quantized spans: a combined RFFTSpans call over a mix of
+// TestRFFTSpansInt16BitIdentical extends the multi-span oracle to
+// quantized spans: a combined RFFTSpans call over a mix of
 // int16 and float64 spans must leave every span's dst bit-identical to
 // sequential RealTransform calls on its (dequantized) sweeps, so no span
 // is disturbed by neighbors of the other encoding.

@@ -108,11 +108,9 @@ func (p *Plan) Transform(x []complex128) {
 // butterflies are stage-interleaved — each stage's twiddle table is
 // streamed once for the whole list instead of once per transform — and
 // the segments are caller-owned slices that may live in different
-// allocations (the scratch arenas of different pipelines), which is
-// what lets a batch scheduler combine transforms across sessions
-// without copying their data together first. No arithmetic crosses a
-// segment boundary, so segment i's output is bit-identical to
-// transforming it alone.
+// allocations, so spans need not be copied together first. No
+// arithmetic crosses a segment boundary, so segment i's output is
+// bit-identical to transforming it alone.
 func (p *Plan) TransformSegs(segs [][]complex128) {
 	for _, seg := range segs {
 		if len(seg) != p.n {
@@ -144,9 +142,9 @@ func (p *Plan) TransformSegs(segs [][]complex128) {
 // RFFTSpan is one caller's batch of real sweeps for RFFTSpans: the
 // sweeps, the window applied to every one of them, and the arena their
 // spectra land in. Dst must be Len()*(n/2+1) bins long — callers size
-// it before submitting, so the combining layer never reallocates
-// foreign arenas — and sweep i's n/2+1 non-negative-frequency bins land
-// in Dst[i*(n/2+1):(i+1)*(n/2+1)].
+// it, so RFFTSpans never reallocates an arena it does not own — and
+// sweep i's n/2+1 non-negative-frequency bins land in
+// Dst[i*(n/2+1):(i+1)*(n/2+1)].
 type RFFTSpan struct {
 	Dst    []complex128
 	Sweeps [][]float64
@@ -155,7 +153,7 @@ type RFFTSpan struct {
 	// sweeps dequantized by Scale through the fused WindowPackInt16
 	// kernel. Because the packed working values and the FFT that follows
 	// are identical to the float64 path's, int16 and float64 spans mix
-	// freely in one combined call under the same plan.
+	// freely in one call under the same plan.
 	SweepsI16 [][]int16
 	Scale     float64
 }
@@ -177,7 +175,7 @@ func (sp *RFFTSpan) Len() int {
 // segment is bit-identical to the sequential call; what changes is that
 // the twiddle tables are streamed from memory once per stage for the
 // combined collection instead of once per sweep. One span is a frame's
-// sweeps; several are the cross-session batch a scheduler gathers.
+// sweeps; the sweep path passes one span per call.
 //
 // segs is the gather-list scratch (grown as needed and returned), so a
 // steady-state caller allocates nothing.

@@ -101,10 +101,9 @@ func TestTransformSegsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRFFTSpansBitIdentical is the cross-session batching oracle: a
-// combined RFFTSpans call over several spans — each a separate frame's
-// sweeps, living in separate allocations as different sessions' scratch
-// arenas would — must leave every span's dst bit-identical to
+// TestRFFTSpansBitIdentical is the multi-span oracle: a combined
+// RFFTSpans call over several spans — each a separate frame's sweeps,
+// living in separate allocations — must leave every span's dst bit-identical to
 // transforming its sweeps one at a time with RealTransform.
 func TestRFFTSpansBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -163,9 +162,9 @@ func TestRFFTSpansBadDstPanics(t *testing.T) {
 	p.RFFTSpans([]RFFTSpan{{Dst: make([]complex128, 10), Sweeps: [][]float64{make([]float64, 64)}}}, nil)
 }
 
-// BenchmarkRFFTSpans measures the cross-session combined transform
-// against the same work issued as one RFFTSpans call per span — the
-// daemon's per-session alternative. The shape mirrors the sweep-domain
+// BenchmarkRFFTSpans measures one combined multi-span transform
+// against the same work issued as one RFFTSpans call per span, the way
+// the daemon's sessions issue it. The shape mirrors the sweep-domain
 // service workload: 8 sessions' frames of 8 sweeps × 320 samples,
 // zero-padded into 512-point transforms.
 func BenchmarkRFFTSpans(b *testing.B) {

@@ -54,6 +54,13 @@ type Config struct {
 	ADCBits int
 }
 
+// MaxSamplesPerSweep caps the sweep length Validate accepts: 16,384
+// samples, over six times the paper's 2,500. Building a synthesizer
+// costs time and memory in proportion to the sweep, and a replayed
+// trace names its own radio, so the cap keeps a forged trace from
+// making a device allocate and compute without bound.
+const MaxSamplesPerSweep = 1 << 14
+
 // Default returns the paper's prototype configuration.
 func Default() Config {
 	return Config{
@@ -88,6 +95,11 @@ func (c Config) Validate() error {
 	case 0, 12, 14, 16:
 	default:
 		return fmt.Errorf("fmcw: ADCBits must be 0, 12, 14, or 16 (got %d)", c.ADCBits)
+	}
+	// The product is checked as a float, before SamplesPerSweep rounds
+	// it to an int that a huge rate or sweep time would overflow.
+	if ns := math.Round(c.SweepTime * c.SampleRate); !(ns <= MaxSamplesPerSweep) {
+		return fmt.Errorf("fmcw: %g samples per sweep exceeds the cap of %d", ns, MaxSamplesPerSweep)
 	}
 	if c.SamplesPerSweep() < 16 {
 		return fmt.Errorf("fmcw: only %d samples per sweep; raise SampleRate or SweepTime", c.SamplesPerSweep())

@@ -62,6 +62,13 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.MaxRange = 0 },
 		func(c *Config) { c.MaxRange = 1e6 }, // beat beyond Nyquist
 		func(c *Config) { c.SampleRate = 1000 },
+		// Sweeps past MaxSamplesPerSweep: one sample over, a rate a
+		// forged trace could declare, and products that overflow an int.
+		func(c *Config) { c.SampleRate = (MaxSamplesPerSweep + 1) / c.SweepTime },
+		func(c *Config) { c.SampleRate = 1e9 },
+		func(c *Config) { c.SweepTime = 1e300 },
+		func(c *Config) { c.SampleRate = math.Inf(1) },
+		func(c *Config) { c.SweepTime = math.NaN() },
 	}
 	for i, mutate := range bad {
 		cfg := Default()
@@ -69,6 +76,14 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		if cfg.Validate() == nil {
 			t.Fatalf("case %d: expected validation error", i)
 		}
+	}
+	atCap := Default()
+	atCap.SampleRate = MaxSamplesPerSweep / atCap.SweepTime
+	if n := atCap.SamplesPerSweep(); n != MaxSamplesPerSweep {
+		t.Fatalf("at-cap radio has %d samples per sweep, want %d", n, MaxSamplesPerSweep)
+	}
+	if err := atCap.Validate(); err != nil {
+		t.Fatalf("a radio at the sweep-length cap must validate: %v", err)
 	}
 }
 

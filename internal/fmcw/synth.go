@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 
 	"witrack/internal/dsp"
 )
@@ -34,7 +35,9 @@ type Synthesizer struct {
 	// FFT-bin noise for a single sweep.
 	noisePerComp float64
 	// kernel is the window's complex spectral kernel K(delta) sampled on
-	// a fine grid; kernelStep is the grid spacing in bins.
+	// a fine grid, shared read-only by every synthesizer of the same
+	// radio shape (see kernelFor); kernelStep is the grid spacing in
+	// bins.
 	kernel     []complex128
 	kernelHalf float64 // kernel covers delta in [-kernelHalf, +kernelHalf]
 	kernelStep float64
@@ -44,30 +47,16 @@ type Synthesizer struct {
 	plan *dsp.Plan
 }
 
-// RFFTBatcher intercepts a scratch's frame transform so an external
-// scheduler can coalesce it with other pipelines' transforms
-// (witrack-svc's cross-session batching). RFFT must leave sp.Dst
-// bit-identical to plan.RFFTSpans over sp alone — it may only change
-// when and alongside what the butterflies execute, never the per-sweep
-// arithmetic. sp.Dst arrives sized for sp's sweeps; the call blocks
-// until the results are in it, and must not retain the span afterwards.
-type RFFTBatcher interface {
-	RFFT(plan *dsp.Plan, sp dsp.RFFTSpan)
-}
-
 // SweepScratch owns the reusable buffers of the time-domain sweep path:
 // the RFFT arena and (for the full slow-synthesis entry points) the
 // per-sweep sample buffers. A scratch must be owned by exactly one
 // goroutine — each pipeline worker holds its own, while the
 // synthesizer's immutable FFT plan is shared by all of them.
 type SweepScratch struct {
-	// batcher, when non-nil, runs the frame transform in place of the
-	// direct plan call.
-	batcher RFFTBatcher
 	// spec is the RFFT arena: one frame's sweeps are transformed in a
 	// single RFFTSpans call, one segment of FFTSize/2 + 1 bins per sweep.
 	spec []complex128
-	// segs is the RFFTSpans gather-list scratch of the direct call.
+	// segs is the RFFTSpans gather-list scratch.
 	segs [][]complex128
 	// sweeps are SweepsPerFrame time-domain sample buffers.
 	sweeps [][]float64
@@ -95,12 +84,6 @@ func (s *Synthesizer) NewSweepScratchPrecision(Precision) *SweepScratch {
 	return s.NewSweepScratch()
 }
 
-// SetBatcher routes the scratch's frame transforms through b — nil
-// restores the direct plan call. Output is bit-identical either way
-// (the RFFTBatcher contract); only the scheduling of the butterflies
-// changes, so installing a batcher never perturbs the golden digests.
-func (ws *SweepScratch) SetBatcher(b RFFTBatcher) { ws.batcher = b }
-
 // kernelHalfWidth is how many bins of spectral leakage the fast path
 // keeps on each side of a tone. Beyond ~8 bins a Hann kernel is > 60 dB
 // down — far below the noise floor of any realistic configuration.
@@ -127,25 +110,77 @@ func NewSynthesizer(cfg Config) *Synthesizer {
 	sigma := math.Sqrt(cfg.NoiseFloorWatts)
 	s.noisePerComp = sigma * math.Sqrt(sumW2/2)
 
-	// Precompute the window's complex DTFT kernel
-	//   K(delta) = sum_n w[n] * exp(-j*2*pi*delta*n/N)
-	// on a fine grid of fractional-bin offsets.
 	n := cfg.FFTSize()
-	steps := int(2*kernelHalfWidth*kernelOversample) + 1
-	s.kernel = make([]complex128, steps)
+	s.kernel = kernelFor(w, n)
 	s.kernelHalf = kernelHalfWidth
 	s.kernelStep = 1.0 / kernelOversample
-	for i := 0; i < steps; i++ {
-		delta := -kernelHalfWidth + float64(i)*s.kernelStep
+	s.plan = dsp.PlanFor(n)
+	return s
+}
+
+// kernelCacheCap bounds how many radio shapes the kernel cache holds.
+// The repo's radios come in two shapes; a replayed trace may name any
+// shape Validate accepts, so shapes past the cap get a private table
+// instead of growing the cache.
+const kernelCacheCap = 8
+
+// kernelCache holds one immutable window-kernel table per radio shape
+// (samples per sweep, FFT size), the only inputs the table depends on,
+// so every synthesizer of one radio shares one table the way every
+// transform of one size shares a dsp.PlanFor plan.
+var kernelCache struct {
+	sync.Mutex
+	tables map[[2]int]*kernelEntry
+}
+
+// kernelEntry builds its table once, outside the cache lock, however
+// many synthesizers ask for it at the same time.
+type kernelEntry struct {
+	once  sync.Once
+	table []complex128
+}
+
+// kernelFor returns the kernel table of window w under an n-point FFT,
+// from the cache when the shape is in it or there is room to add it.
+func kernelFor(w []float64, n int) []complex128 {
+	key := [2]int{len(w), n}
+	kernelCache.Lock()
+	e := kernelCache.tables[key]
+	if e == nil && len(kernelCache.tables) < kernelCacheCap {
+		if kernelCache.tables == nil {
+			kernelCache.tables = make(map[[2]int]*kernelEntry)
+		}
+		e = &kernelEntry{}
+		kernelCache.tables[key] = e
+	}
+	kernelCache.Unlock()
+	if e == nil {
+		return windowKernel(w, n)
+	}
+	e.once.Do(func() { e.table = windowKernel(w, n) })
+	return e.table
+}
+
+// windowKernel computes the window's complex DTFT kernel
+//
+//	K(delta) = sum_n w[n] * exp(-j*2*pi*delta*n/N)
+//
+// on a grid of kernelOversample fractional-bin offsets per bin over
+// [-kernelHalfWidth, +kernelHalfWidth].
+func windowKernel(w []float64, n int) []complex128 {
+	steps := int(2*kernelHalfWidth*kernelOversample) + 1
+	step := 1.0 / kernelOversample
+	kernel := make([]complex128, steps)
+	for i := range kernel {
+		delta := -kernelHalfWidth + float64(i)*step
 		var acc complex128
-		for t := 0; t < ns; t++ {
+		for t := range w {
 			angle := -2 * math.Pi * delta * float64(t) / float64(n)
 			acc += complex(w[t], 0) * cmplx.Exp(complex(0, angle))
 		}
-		s.kernel[i] = acc
+		kernel[i] = acc
 	}
-	s.plan = dsp.PlanFor(n)
-	return s
+	return kernel
 }
 
 // Config returns the synthesizer's radio configuration.
@@ -255,12 +290,8 @@ func (s *Synthesizer) frameFromSpan(dst dsp.ComplexFrame, sp dsp.RFFTSpan, ws *S
 	}
 	sp.Dst = ws.spec
 	sp.Window = s.window
-	if ws.batcher != nil {
-		ws.batcher.RFFT(s.plan, sp)
-	} else {
-		spans := [1]dsp.RFFTSpan{sp}
-		ws.segs = s.plan.RFFTSpans(spans[:], ws.segs)
-	}
+	spans := [1]dsp.RFFTSpan{sp}
+	ws.segs = s.plan.RFFTSpans(spans[:], ws.segs)
 	for j := 0; j < n; j++ {
 		bins := ws.spec[j*seg : j*seg+nb]
 		for i := range dst {

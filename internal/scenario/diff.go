@@ -25,8 +25,9 @@ func LoadReport(path string) (*ReplayReport, error) {
 // DiffReports compares the snapshot against the replayed results,
 // printing every difference to w, and returns how many it found. Metric
 // values must match to the bit (the replay pipeline is deterministic;
-// JSON float64 round-trips are exact in Go), so any drift — numeric,
-// missing metric, missing trace — is a regression. Both witrack-replay
+// JSON float64 round-trips are exact in Go), so any drift — identity,
+// frame or skip count, numeric, missing metric, missing trace — is a
+// regression. Only the storage-footprint fields are ignored. Both witrack-replay
 // (replay vs live snapshot) and witrack-load (served vs the same
 // snapshot) gate on this, closing the live == replay == served chain.
 func DiffReports(w io.Writer, snap, got *ReplayReport) int {
@@ -70,6 +71,9 @@ func DiffReports(w io.Writer, snap, got *ReplayReport) int {
 		}
 		if wr.Frames != g.Frames {
 			report("%s: %d frames != snapshot %d", name, g.Frames, wr.Frames)
+		}
+		if wr.Skips != g.Skips {
+			report("%s: %d skipped records != snapshot %d", name, g.Skips, wr.Skips)
 		}
 		keys := map[string]bool{}
 		for k := range wr.Metrics {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"reflect"
 	"regexp"
 	"sync"
@@ -105,6 +106,54 @@ func TestRunCellFilter(t *testing.T) {
 	// A filter matching nothing is a usage error, not an empty report.
 	if _, err := Run(context.Background(), specs, Options{Cells: regexp.MustCompile(`^nope$`)}); err == nil {
 		t.Fatal("empty cell selection should error")
+	}
+}
+
+// TestThreePersonShardMatchesCheckedInMatrix is the sharding gate on
+// the canonical matrix: the '^three-person/' shard of the k-target
+// scenario must reproduce its block of the checked-in SCENARIOS.json
+// byte for byte (CI's scenario gate keeps that file equal to a fresh
+// full-matrix run).
+func TestThreePersonShardMatchesCheckedInMatrix(t *testing.T) {
+	data, err := os.ReadFile("../../SCENARIOS.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full struct {
+		Scenarios []json.RawMessage `json:"scenarios"`
+	}
+	if err := json.Unmarshal(data, &full); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, raw := range full.Scenarios {
+		var id struct{ Name string }
+		if err := json.Unmarshal(raw, &id); err != nil {
+			t.Fatal(err)
+		}
+		if id.Name == "three-person" {
+			if err := json.Compact(&want, raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want.Len() == 0 {
+		t.Fatal("SCENARIOS.json has no three-person block")
+	}
+
+	shard, err := Run(context.Background(), Canonical(), Options{Cells: regexp.MustCompile(`^three-person/`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shard.Scenarios) != 1 || shard.Scenarios[0].Name != "three-person" {
+		t.Fatalf("shard ran %d scenarios, want only three-person", len(shard.Scenarios))
+	}
+	got, err := json.Marshal(shard.Scenarios[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("three-person shard diverged from its SCENARIOS.json block:\n shard %s\n file  %s", got, want.Bytes())
 	}
 }
 

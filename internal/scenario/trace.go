@@ -47,11 +47,10 @@ func RecordCell(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error) {
 // RecordCellSweeps is RecordCell for the sweep domain: it captures the
 // cell's raw time-domain sweeps (trace.DomainSweeps) instead of
 // pre-transformed range bins, so a replay re-runs the full window +
-// RFFT + averaging path per frame — the workload the cross-session
-// batch scheduler coalesces. A cell with Radio.ADCBits set records the
-// quantized int16 ADC codes (trace.SampleInt16, roughly 4x smaller
-// compressed) instead of float64 samples. It requires a SlowSynth cell
-// (the fast path never materializes sweeps).
+// RFFT + averaging path per frame. A cell with Radio.ADCBits set
+// records the quantized int16 ADC codes (trace.SampleInt16, roughly 4x
+// smaller compressed) instead of float64 samples. It requires a
+// SlowSynth cell (the fast path never materializes sweeps).
 func RecordCellSweeps(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error) {
 	return recordCell(sp, deviceIndex, w, true)
 }
@@ -189,12 +188,6 @@ type ReplayOptions struct {
 	// Arena, when non-nil, recycles decoded frame buffers through a
 	// shared cross-replay arena instead of a private per-replay ring.
 	Arena *core.FrameArena
-	// Batch, when non-nil, routes the replay's sweep-path RFFTs through
-	// a shared cross-session core.BatchScheduler, so concurrent replays
-	// of sweep-domain traces sharing an FFT plan coalesce into combined
-	// stage-interleaved transforms. Output is bit-identical either way;
-	// bin-domain traces carry pre-transformed spectra and ignore it.
-	Batch *core.BatchClient
 	// FrameDeadline arms the replaying device's source watchdog: a
 	// stream that delivers no frame within the deadline (a stalled
 	// network client) ends the replay with a descriptive error instead
@@ -300,7 +293,6 @@ func ReplayTraceOpts(ctx context.Context, r io.Reader, opts ReplayOptions) (*Rep
 		pc.Workers = opts.Workers
 	}
 	pc.Pool = opts.Pool
-	pc.Batch = opts.Batch
 	pc.FrameDeadline = opts.FrameDeadline
 
 	src := core.NewTraceSourceArena(tr, opts.Arena)
@@ -355,9 +347,9 @@ func ReplayTraceOpts(ctx context.Context, r io.Reader, opts ReplayOptions) (*Rep
 // rate cut to 128 kHz so a 2.5 ms sweep is 320 samples (FFT size 512)
 // while the 11 m range keeps every beat far inside Nyquist. Recorded
 // with RecordCellSweeps and replayed by concurrent sessions, every
-// frame runs the full RFFT path, which is what makes cross-session
-// batching observable; witrack-load -sweeps generates this trace in
-// memory rather than checking megabytes of noise into the corpus.
+// frame runs the full RFFT path; witrack-load -sweeps generates this
+// trace in memory rather than checking megabytes of noise into the
+// corpus.
 func SweepCell() Spec {
 	radio := RadioSpec{MaxRange: 11, SweepsPerFrame: 8, SampleRate: 128e3, SweepTime: 2.5e-3}
 	near := &RegionSpec{XMin: -1.5, XMax: 1.5, YMin: 3, YMax: 4.6}

@@ -3,10 +3,11 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
-	"witrack/internal/core"
 	"witrack/internal/dsp"
 	"witrack/internal/trace"
 )
@@ -119,8 +120,7 @@ func TestRecordCellReplayMatchesLiveCell(t *testing.T) {
 // TestSweepCellReplayMatchesLiveCell is the sweep-domain replay
 // equivalence gate: the compact sweep cell recorded as raw sweeps and
 // replayed — through the full window + RFFT + averaging path — must
-// score bit-identical to the live runner's cell, with and without the
-// cross-session batch scheduler in the replay path.
+// score bit-identical to the live runner's cell.
 func TestSweepCellReplayMatchesLiveCell(t *testing.T) {
 	sp := SweepCell()
 	if err := sp.Validate(); err != nil {
@@ -140,16 +140,10 @@ func TestSweepCellReplayMatchesLiveCell(t *testing.T) {
 		t.Fatalf("recorded %d sweep frames, live cell processed %d", frames, live.res.Frames)
 	}
 
-	replay := func(opts ReplayOptions) *ReplayResult {
-		t.Helper()
-		res, err := ReplayTraceOpts(context.Background(), bytes.NewReader(buf.Bytes()), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := ReplayTrace(context.Background(), bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	res := replay(ReplayOptions{})
 	if res.Frames != live.res.Frames {
 		t.Fatalf("replayed %d frames, live cell %d", res.Frames, live.res.Frames)
 	}
@@ -157,24 +151,13 @@ func TestSweepCellReplayMatchesLiveCell(t *testing.T) {
 		t.Fatalf("sweep replay metrics diverged from live cell:\n  live   %v\n  replay %v",
 			live.res.Metrics, res.Metrics)
 	}
-
-	cl := core.NewBatchScheduler(0, 0).NewClient()
-	batched := replay(ReplayOptions{Batch: cl})
-	if !metricsBitEqual(batched.Metrics, live.res.Metrics) {
-		t.Fatalf("batched sweep replay diverged from live cell:\n  live    %v\n  batched %v",
-			live.res.Metrics, batched.Metrics)
-	}
-	if sub, _ := cl.Stats(); sub == 0 {
-		t.Fatal("batched replay never routed a transform through the scheduler")
-	}
 }
 
 // TestSweepCellInt16ReplayMatchesLiveCell extends the sweep-domain
 // equivalence gate to the quantized path: the int16 cell recorded as
 // delta-coded ADC codes and replayed through the fused dequantize +
-// window kernels must score bit-identical to the live quantized run,
-// with and without the batch scheduler — and the trace must actually
-// carry the int16 encoding, substantially smaller than the float64
+// window kernels must score bit-identical to the live quantized run —
+// and the trace must actually carry the int16 encoding, substantially smaller than the float64
 // recording of the same walk. RecordCell must write the same bytes as
 // RecordCellSweeps for it.
 func TestSweepCellInt16ReplayMatchesLiveCell(t *testing.T) {
@@ -227,31 +210,16 @@ func TestSweepCellInt16ReplayMatchesLiveCell(t *testing.T) {
 		t.Fatalf("int16 sweep trace is only %.2fx smaller than the float64 recording, want >= 3x", ratio)
 	}
 
-	replay := func(opts ReplayOptions) *ReplayResult {
-		t.Helper()
-		res, err := ReplayTraceOpts(context.Background(), bytes.NewReader(buf.Bytes()), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := ReplayTrace(context.Background(), bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := replay(ReplayOptions{})
 	if res.Frames != live.res.Frames {
 		t.Fatalf("replayed %d frames, live cell %d", res.Frames, live.res.Frames)
 	}
 	if !metricsBitEqual(res.Metrics, live.res.Metrics) {
 		t.Fatalf("int16 replay metrics diverged from live cell:\n  live   %v\n  replay %v",
 			live.res.Metrics, res.Metrics)
-	}
-
-	cl := core.NewBatchScheduler(0, 0).NewClient()
-	batched := replay(ReplayOptions{Batch: cl})
-	if !metricsBitEqual(batched.Metrics, live.res.Metrics) {
-		t.Fatalf("batched int16 replay diverged from live cell:\n  live    %v\n  batched %v",
-			live.res.Metrics, batched.Metrics)
-	}
-	if sub, _ := cl.Stats(); sub == 0 {
-		t.Fatal("batched int16 replay never routed a transform through the scheduler")
 	}
 }
 
@@ -360,6 +328,46 @@ func TestReplayRejectsTamperedProvenance(t *testing.T) {
 				t.Fatal("replay must reject a trace that disagrees with its provenance")
 			}
 		})
+	}
+}
+
+// TestReplayRefusesForgedRadio: a trace whose header and provenance
+// agree on a radio past fmcw.MaxSamplesPerSweep is refused before the
+// replaying device builds its synthesizer, whose window, FFT plan and
+// kernel table would otherwise grow with whatever sweep the trace names.
+func TestReplayRefusesForgedRadio(t *testing.T) {
+	sp := SweepCell()
+	sp.Devices[0].Radio.SampleRate = 1e9 // 2,500,000 samples per 2.5 ms sweep
+	c, err := Compile(&sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radio := c.Config.Radio
+	h := trace.Header{
+		Name:            sp.Name,
+		Seed:            c.Config.Seed,
+		Interval:        radio.FrameInterval(),
+		NumRx:           len(c.Config.Array.Rx),
+		Radio:           radio,
+		Array:           c.Config.Array,
+		Domain:          trace.DomainSweeps,
+		SweepsPerFrame:  radio.SweepsPerFrame,
+		SamplesPerSweep: radio.SamplesPerSweep(),
+	}
+	if h.Scenario, err = json.Marshal(&sp); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReplayTrace(context.Background(), bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "samples per sweep exceeds") {
+		t.Fatalf("replay of a trace naming a %d-sample sweep returned %v, want the sweep-length refusal", radio.SamplesPerSweep(), err)
 	}
 }
 

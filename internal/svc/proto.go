@@ -88,13 +88,13 @@ type SessionTiming struct {
 	// the run divided by frames — approximate under concurrent sessions,
 	// but a cheap canary for a per-frame allocation regression.
 	AllocsPerFrame float64 `json:"allocs_per_frame"`
-	// BatchSubmitted / BatchCoalesced count the session's sweep-path
-	// frame transforms routed through the shared cross-session batch
-	// scheduler, and how many rode a combined call with another session.
-	// Coalescing depends on arrival timing, so the split is
-	// non-deterministic — but the transforms' bits are identical either
-	// way, which is why these live in Timing and not Result.
+	// BatchSubmitted / BatchCoalesced are always zero: every session
+	// transforms its own sweeps, so nothing is submitted to or coalesced
+	// across sessions.
+	//
+	// Deprecated: kept only so existing readers still compile.
 	BatchSubmitted int64 `json:"batch_submitted,omitempty"`
+	// Deprecated: see BatchSubmitted.
 	BatchCoalesced int64 `json:"batch_coalesced,omitempty"`
 	// LagMS samples, one per fused frame, of wall-clock delivery lag:
 	// (now - session start) - frame time. Meaningful as fix latency only

@@ -20,13 +20,20 @@ import (
 // the management API maps it to 429.
 var ErrSessionLimit = errors.New("svc: session limit reached")
 
+// ErrBadRequest refuses a create request whose overrides are out of
+// range; the management API maps it to 400.
+var ErrBadRequest = errors.New("svc: invalid create request")
+
+// MaxQueueDepth caps the ingest queue depth a create request may ask
+// for: 256 chunks of 32 KiB, 8 MiB of buffered trace per session.
+const MaxQueueDepth = 256
+
 // Config sizes the daemon's shared resources and default per-session
 // policies.
 type Config struct {
 	// PoolSize bounds concurrent heavy compute across ALL sessions (the
-	// shared core.WorkerPool). 0 selects a single slot per CPU-ish
-	// default of 4 — the daemon's whole point is that many sessions
-	// time-slice a small pool.
+	// shared core.WorkerPool). 0 = 4 — the daemon's whole point is that
+	// many sessions time-slice a small pool.
 	PoolSize int
 	// MaxSessions caps tracked sessions (waiting + running + retained
 	// finished). Creation beyond it is refused with 429. 0 = 64.
@@ -43,15 +50,6 @@ type Config struct {
 	FrameDeadline time.Duration
 	// ArenaCapacity sizes the shared decoded-frame arena. 0 = default.
 	ArenaCapacity int
-	// GatherWindow bounds how long the cross-session batch scheduler
-	// holds a session's sweep-path frame transform open for other
-	// sessions on the same FFT plan to join before executing it alone.
-	// 0 = core.DefaultGatherWindow.
-	GatherWindow time.Duration
-	// MaxBatch caps how many sweep segments one combined transform may
-	// gather before it executes regardless of the window.
-	// 0 = core.DefaultMaxBatch.
-	MaxBatch int
 }
 
 func (c Config) withDefaults() Config {
@@ -86,7 +84,8 @@ type CreateRequest struct {
 	// Workers overrides the per-antenna worker count for this session.
 	Workers int `json:"workers,omitempty"`
 	// QueueDepth / ShedAfterMS / FrameDeadlineMS override the server's
-	// backpressure and watchdog defaults for this session.
+	// backpressure and watchdog defaults for this session. QueueDepth
+	// may not exceed MaxQueueDepth.
 	QueueDepth      int `json:"queue_depth,omitempty"`
 	ShedAfterMS     int `json:"shed_after_ms,omitempty"`
 	FrameDeadlineMS int `json:"frame_deadline_ms,omitempty"`
@@ -109,7 +108,6 @@ type Server struct {
 	cfg   Config
 	pool  *core.WorkerPool
 	arena *core.FrameArena
-	sched *core.BatchScheduler
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -129,7 +127,6 @@ func NewServer(cfg Config) *Server {
 		cfg:      cfg,
 		pool:     core.NewWorkerPool(cfg.PoolSize),
 		arena:    core.NewFrameArena(cfg.ArenaCapacity),
-		sched:    core.NewBatchScheduler(cfg.GatherWindow, cfg.MaxBatch),
 		sessions: make(map[string]*Session),
 	}
 }
@@ -204,8 +201,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Create registers a new waiting session, refusing past MaxSessions.
+// Create registers a new waiting session, refusing past MaxSessions
+// and refusing a queue depth past MaxQueueDepth.
 func (s *Server) Create(req CreateRequest) (*Session, error) {
+	if req.QueueDepth > MaxQueueDepth {
+		return nil, fmt.Errorf("%w: queue_depth %d exceeds the cap of %d chunks", ErrBadRequest, req.QueueDepth, MaxQueueDepth)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -336,8 +337,11 @@ func (s *Server) handler() http.Handler {
 		sess, err := s.Create(req)
 		if err != nil {
 			status := http.StatusInternalServerError
-			if errors.Is(err, ErrSessionLimit) {
+			switch {
+			case errors.Is(err, ErrSessionLimit):
 				status = http.StatusTooManyRequests
+			case errors.Is(err, ErrBadRequest):
+				status = http.StatusBadRequest
 			}
 			httpError(w, status, err)
 			return

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"witrack/internal/core"
 	"witrack/internal/scenario"
 )
 
@@ -38,7 +37,6 @@ type Session struct {
 	shedAfter     time.Duration
 	frameDeadline time.Duration
 	srv           *Server
-	batch         *core.BatchClient
 	ctx           context.Context
 	cancel        context.CancelFunc
 	created       time.Time
@@ -92,14 +90,6 @@ type SessionStats struct {
 	// AllocsPerFrame: see SessionTiming.AllocsPerFrame; populated once
 	// the session ends.
 	AllocsPerFrame float64 `json:"allocs_per_frame,omitempty"`
-	// BatchSubmitted / BatchCoalesced count the session's sweep-path
-	// frame transforms routed through the shared cross-session batch
-	// scheduler so far, and how many of those rode a combined call with
-	// at least one other session; CoalescedFrac is their ratio. All zero
-	// for bin-domain traces (their frames carry pre-transformed spectra).
-	BatchSubmitted int64   `json:"batch_submitted,omitempty"`
-	BatchCoalesced int64   `json:"batch_coalesced,omitempty"`
-	CoalescedFrac  float64 `json:"coalesced_frac,omitempty"`
 	// LastFix is the most recent valid fix, if any.
 	LastFix *Fix `json:"last_fix,omitempty"`
 	// Error describes a failed session.
@@ -120,7 +110,6 @@ func newSession(srv *Server, id string, seq int, req CreateRequest) *Session {
 		shedAfter:     srv.cfg.ShedAfter,
 		frameDeadline: srv.cfg.FrameDeadline,
 		srv:           srv,
-		batch:         srv.sched.NewClient(),
 		ctx:           ctx,
 		cancel:        cancel,
 		created:       time.Now(),
@@ -159,10 +148,6 @@ func (s *Session) Stats() SessionStats {
 	}
 	if s.frames > 0 {
 		st.DegradedFrac = float64(s.degraded) / float64(s.frames)
-	}
-	st.BatchSubmitted, st.BatchCoalesced = s.batch.Stats()
-	if st.BatchSubmitted > 0 {
-		st.CoalescedFrac = float64(st.BatchCoalesced) / float64(st.BatchSubmitted)
 	}
 	if s.timing != nil {
 		st.FPS = s.timing.FPS
@@ -247,7 +232,6 @@ func (s *Session) serve(src io.Reader) *CloseSummary {
 		Workers:       s.workers,
 		Pool:          s.srv.pool,
 		Arena:         s.srv.arena,
-		Batch:         s.batch,
 		FrameDeadline: s.frameDeadline,
 		Observe:       s.observe(start),
 	})
@@ -278,7 +262,6 @@ func (s *Session) serve(src io.Reader) *CloseSummary {
 		}
 		timing.AllocsPerFrame = float64(m1.Mallocs-m0.Mallocs) / float64(s.frames)
 	}
-	timing.BatchSubmitted, timing.BatchCoalesced = s.batch.Stats()
 	s.timing = timing
 	if err != nil {
 		s.state = StateFailed

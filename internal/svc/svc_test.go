@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -195,27 +195,27 @@ func TestSvcConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestSvcSweepSessionsCoalesce is the cross-session batching gate: four
-// concurrent sessions replay the same sweep-domain trace — every frame
-// runs the full RFFT path — through a daemon whose scheduler gathers
-// transforms across sessions. Every served result must stay
-// bit-identical to the local offline replay (coalescing may change
-// which combined call computes a frame's spectrum, never its bits), and
-// on a multicore host the sessions must actually coalesce.
-func TestSvcSweepSessionsCoalesce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep-domain synthesis and replay are slow; skipped with -short")
-	}
-	sp := scenario.SweepCell()
+// recordSweeps records a sweep-domain cell into memory.
+func recordSweeps(t *testing.T, sp scenario.Spec) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if _, _, err := scenario.RecordCellSweeps(&sp, 0, &buf); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	want := replayLocal(t, data)
+	return buf.Bytes()
+}
 
-	const sessions = 4
-	srv := startServer(t, Config{PoolSize: 2, GatherWindow: time.Millisecond})
+// serveSweepSessions serves n concurrent sessions, session i streaming
+// streams[i%len(streams)], through a daemon with fewer pool slots than
+// sessions. Every served result must be bit-identical to the local
+// offline replay of its stream, and no pool slot may leak.
+func serveSweepSessions(t *testing.T, n int, streams ...[]byte) {
+	t.Helper()
+	wants := make([]*scenario.ReplayResult, len(streams))
+	for i, data := range streams {
+		wants[i] = replayLocal(t, data)
+	}
+	srv := startServer(t, Config{PoolSize: 2})
 	client := &Client{Mgmt: "http://" + srv.MgmtAddr()}
 	info, err := client.Info()
 	if err != nil {
@@ -223,9 +223,9 @@ func TestSvcSweepSessionsCoalesce(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	sums := make([]*CloseSummary, sessions)
-	errs := make([]error, sessions)
-	for i := 0; i < sessions; i++ {
+	sums := make([]*CloseSummary, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
 		stats, err := client.CreateSession(CreateRequest{Name: fmt.Sprintf("sweep-%d", i)})
 		if err != nil {
 			t.Fatal(err)
@@ -233,106 +233,54 @@ func TestSvcSweepSessionsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			sums[i], errs[i] = IngestTCP(info.IngestAddr, id, data, IngestOptions{})
+			sums[i], errs[i] = IngestTCP(info.IngestAddr, id, streams[i%len(streams)], IngestOptions{})
 		}(i, stats.ID)
 	}
 	wg.Wait()
 
-	var submitted, coalesced int64
-	for i := 0; i < sessions; i++ {
+	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("session %d: %v", i, errs[i])
 		}
-		sum := sums[i]
-		if !sum.OK {
-			t.Fatalf("session %d failed: %s", i, sum.Error)
+		if !sums[i].OK {
+			t.Fatalf("session %d failed: %s", i, sums[i].Error)
 		}
-		sameResult(t, fmt.Sprintf("sweep session %d", i), sum.Result, want)
-		if sum.Timing == nil || sum.Timing.BatchSubmitted == 0 {
-			t.Fatalf("session %d reported no batched transforms; the sweep path did not route through the scheduler", i)
-		}
-		submitted += sum.Timing.BatchSubmitted
-		coalesced += sum.Timing.BatchCoalesced
+		sameResult(t, fmt.Sprintf("sweep session %d", i), sums[i].Result, wants[i%len(streams)])
 	}
-	t.Logf("%d transforms submitted, %d coalesced across sessions (GOMAXPROCS=%d)",
-		submitted, coalesced, runtime.GOMAXPROCS(0))
-	if coalesced == 0 && runtime.GOMAXPROCS(0) > 1 {
-		t.Fatal("concurrent sweep sessions never coalesced on a multicore host")
+	if srv.pool.InUse() != 0 {
+		t.Fatalf("pool leaked %d slots", srv.pool.InUse())
 	}
 }
 
-// TestSvcInt16SweepSessionsCoalesce extends the cross-session batching
-// gate to the quantized ingest path, mixed with full-precision
-// sessions: two sessions replay the int16 sweep trace (delta-coded ADC
-// codes through the fused dequantize+window kernels) while two replay
-// the float64 recording of the same radio. Both cells compile to the
-// same FFT plan, so the scheduler's gather groups hold int16 and
-// float64 spans side by side — and every served result must still be
-// bit-identical to its own local offline replay.
+// TestSvcSweepSessionsCoalesce is the parity gate for concurrent
+// sweep-domain sessions: four sessions replay the same sweep trace —
+// every frame runs the full window + RFFT path on the worker holding
+// the session's pool slot — and each must serve exactly what the local
+// offline replay scores.
+func TestSvcSweepSessionsCoalesce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep-domain synthesis and replay are slow; skipped with -short")
+	}
+	serveSweepSessions(t, 4, recordSweeps(t, scenario.SweepCell()))
+}
+
+// TestSvcInt16SweepSessionsCoalesce extends the sweep parity gate to
+// the quantized ingest path, mixed with full-precision sessions: two
+// sessions replay the int16 sweep trace (delta-coded ADC codes through
+// the fused dequantize+window kernels) while two replay the float64
+// recording of the same radio, and every served result must be
+// bit-identical to its own local offline replay. The int16 trace must
+// also be at least 3x smaller than the float64 one.
 func TestSvcInt16SweepSessionsCoalesce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep-domain synthesis and replay are slow; skipped with -short")
 	}
-	record := func(sp scenario.Spec) []byte {
-		var buf bytes.Buffer
-		if _, _, err := scenario.RecordCellSweeps(&sp, 0, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	data64 := record(scenario.SweepCell())
-	data16 := record(scenario.SweepCellInt16())
+	data64 := recordSweeps(t, scenario.SweepCell())
+	data16 := recordSweeps(t, scenario.SweepCellInt16())
 	if r := float64(len(data64)) / float64(len(data16)); r < 3 {
 		t.Fatalf("int16 sweep trace only %.2fx smaller than float64 (%d vs %d bytes), want >= 3x", r, len(data16), len(data64))
 	}
-	streams := [][]byte{data64, data16}
-	wants := []*scenario.ReplayResult{replayLocal(t, data64), replayLocal(t, data16)}
-
-	const sessions = 4
-	srv := startServer(t, Config{PoolSize: 2, GatherWindow: time.Millisecond})
-	client := &Client{Mgmt: "http://" + srv.MgmtAddr()}
-	info, err := client.Info()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	sums := make([]*CloseSummary, sessions)
-	errs := make([]error, sessions)
-	for i := 0; i < sessions; i++ {
-		stats, err := client.CreateSession(CreateRequest{Name: fmt.Sprintf("sweep16-%d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			sums[i], errs[i] = IngestTCP(info.IngestAddr, id, streams[i%2], IngestOptions{})
-		}(i, stats.ID)
-	}
-	wg.Wait()
-
-	var submitted, coalesced int64
-	for i := 0; i < sessions; i++ {
-		if errs[i] != nil {
-			t.Fatalf("session %d: %v", i, errs[i])
-		}
-		sum := sums[i]
-		if !sum.OK {
-			t.Fatalf("session %d failed: %s", i, sum.Error)
-		}
-		sameResult(t, fmt.Sprintf("mixed sweep session %d", i), sum.Result, wants[i%2])
-		if sum.Timing == nil || sum.Timing.BatchSubmitted == 0 {
-			t.Fatalf("session %d reported no batched transforms; the sweep path did not route through the scheduler", i)
-		}
-		submitted += sum.Timing.BatchSubmitted
-		coalesced += sum.Timing.BatchCoalesced
-	}
-	t.Logf("%d transforms submitted, %d coalesced across mixed-precision sessions (GOMAXPROCS=%d)",
-		submitted, coalesced, runtime.GOMAXPROCS(0))
-	if coalesced == 0 && runtime.GOMAXPROCS(0) > 1 {
-		t.Fatal("concurrent mixed int16/float64 sessions never coalesced on a multicore host")
-	}
+	serveSweepSessions(t, 4, data64, data16)
 }
 
 // TestSvcMidStreamDisconnect drops the client halfway through the
@@ -518,6 +466,50 @@ func TestSvcSessionLimit(t *testing.T) {
 	if !strings.Contains(err.Error(), "429") {
 		t.Fatalf("limit error %q does not carry HTTP 429", err)
 	}
+}
+
+// TestSvcRefusesHugeQueueDepth: a create request asking for an ingest
+// queue deeper than MaxQueueDepth is refused with 400 before any queue
+// is built, and the daemon keeps serving. No stream is ever attached
+// to an oversized session.
+func TestSvcRefusesHugeQueueDepth(t *testing.T) {
+	srv := startServer(t, Config{PoolSize: 1})
+	client := &Client{Mgmt: "http://" + srv.MgmtAddr()}
+	for _, depth := range []string{"1152921504606846976", fmt.Sprint(MaxQueueDepth + 1)} {
+		resp, err := client.http().Post(client.Mgmt+"/sessions", "application/json",
+			strings.NewReader(`{"queue_depth": `+depth+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("queue_depth %s: create returned %d, want 400", depth, resp.StatusCode)
+		}
+	}
+	if list, err := client.Sessions(); err != nil || len(list) != 0 {
+		t.Fatalf("refused creates left sessions behind: %v (err=%v)", list, err)
+	}
+	if _, err := client.CreateSession(CreateRequest{QueueDepth: MaxQueueDepth}); err != nil {
+		t.Fatalf("queue_depth at the cap refused: %v", err)
+	}
+
+	info, err := client.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := corpusTraces(t)["corpus-static-d0.wtrace"]
+	stats, err := client.CreateSession(CreateRequest{Name: "after-refusal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := IngestTCP(info.IngestAddr, stats.ID, data, IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sum.OK {
+		t.Fatalf("session after the refusals failed: %s", sum.Error)
+	}
+	sameResult(t, "after-refusal", sum.Result, replayLocal(t, data))
 }
 
 // TestSvcHTTPIngest covers the HTTP ingest plane: POSTing the trace

@@ -162,7 +162,7 @@ type Header struct {
 	// (sample 2i in the real part, 2i+1 in the imaginary part), so the
 	// binary framing, CRC, and XOR-delta machinery are unchanged. A
 	// sweep-domain replay runs the full window + RFFT + averaging path
-	// per frame — the workload cross-session batching coalesces.
+	// per frame.
 	Domain string `json:"domain,omitempty"`
 	// SweepsPerFrame / SamplesPerSweep shape a sweep-domain record:
 	// each antenna's record is SweepsPerFrame*SamplesPerSweep/2 complex
