@@ -128,7 +128,7 @@ func main() {
 	}
 	if *sweeps {
 		// Both sweep encodings soak: the float64 cell and its quantized
-		// int16 twin, so the fused dequantize+window ingest path is
+		// int16 twin, so the int16 sum-then-dequantize ingest path is
 		// exercised alongside the full-precision one.
 		for _, sp := range []scenario.Spec{scenario.SweepCell(), scenario.SweepCellInt16()} {
 			lt, offline, err := genSweepTrace(sp)

@@ -185,7 +185,7 @@ func (s *shell[T]) TraceHeader() trace.Header {
 
 // SweepTraceHeader is TraceHeader for a sweep-domain capture: the
 // records hold raw time-domain sweeps (see trace.DomainSweeps), so a
-// replay runs the full window + RFFT + averaging path per frame instead
+// replay runs the full sweep average + window + RFFT path per frame instead
 // of consuming pre-transformed bins. On a device with Radio.ADCBits the
 // records are the quantized int16 ADC codes (trace.SampleInt16), the
 // only sweeps such a device has, and the header stamps the quantizer:
@@ -369,16 +369,16 @@ type antennaScratch struct {
 // frame if the source provided one, otherwise the deferred deterministic
 // work — either the fast path's spectral synthesis (static paths, then
 // each target's paths in order, then the pre-drawn noise) or the slow
-// path's window + real-input FFT + coherent averaging of raw sweeps —
-// reusing the worker's scratch. The operation order matches the fused
-// serial synthesis exactly, so the result is bit-identical to what the
-// serial loop produced.
+// path's coherent average of raw sweeps, summed and then windowed and
+// transformed once — reusing the worker's scratch. The operation order
+// matches the fused serial synthesis exactly, so the result is
+// bit-identical to what the serial loop produced.
 func (w *antennaScratch) materialize(synth *fmcw.Synthesizer, prop *rf.Propagator, k int, b *FrameBatch) dsp.ComplexFrame {
 	switch {
 	case b.sweeps16 != nil:
 		// Quantized sweeps take precedence over the float64 synthesis
-		// scratch: the codes are what the modeled ADC output, and routing
-		// them through the fused dequantize+window kernel keeps live,
+		// scratch: the codes are what the modeled ADC output, and
+		// summing them exactly before one dequantize keeps live,
 		// recorded, and replayed runs bit-identical.
 		w.spec = synth.ComplexFrameFromSweepsInt16Into(w.spec, b.sweeps16[k], b.scale16, w.sweepScratch(synth))
 		return w.spec

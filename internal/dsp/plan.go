@@ -94,127 +94,29 @@ func newPlan(n int, withReal bool) *Plan {
 func (p *Plan) Size() int { return p.n }
 
 // Transform computes the in-place unnormalized FFT of x, which must have
-// exactly the plan's size: TransformSegs on a one-segment list. It
-// allocates nothing.
+// exactly the plan's size. It allocates nothing.
 func (p *Plan) Transform(x []complex128) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dsp: Transform on %d samples with a %d-point plan", len(x), p.n))
 	}
-	p.TransformSegs([][]complex128{x})
-}
-
-// TransformSegs computes the in-place unnormalized FFT of every segment
-// in segs, each of which must have exactly the plan's size. The
-// butterflies are stage-interleaved — each stage's twiddle table is
-// streamed once for the whole list instead of once per transform — and
-// the segments are caller-owned slices that may live in different
-// allocations, so spans need not be copied together first. No
-// arithmetic crosses a segment boundary, so segment i's output is
-// bit-identical to transforming it alone.
-func (p *Plan) TransformSegs(segs [][]complex128) {
-	for _, seg := range segs {
-		if len(seg) != p.n {
-			panic(fmt.Sprintf("dsp: TransformSegs segment of %d samples with a %d-point plan", len(seg), p.n))
-		}
-		for _, s := range p.swaps {
-			seg[s[0]], seg[s[1]] = seg[s[1]], seg[s[0]]
-		}
+	for _, s := range p.swaps {
+		x[s[0]], x[s[1]] = x[s[1]], x[s[0]]
 	}
 	n := p.n
 	for si, tw := range p.stages {
 		half := 1 << uint(si)
 		size := half << 1
-		for _, seg := range segs {
-			for start := 0; start < n; start += size {
-				a := seg[start : start+half : start+half]
-				b := seg[start+half : start+size : start+size]
-				for k := range a {
-					even := a[k]
-					odd := b[k] * tw[k]
-					a[k] = even + odd
-					b[k] = even - odd
-				}
+		for start := 0; start < n; start += size {
+			a := x[start : start+half : start+half]
+			b := x[start+half : start+size : start+size]
+			for k := range a {
+				even := a[k]
+				odd := b[k] * tw[k]
+				a[k] = even + odd
+				b[k] = even - odd
 			}
 		}
 	}
-}
-
-// RFFTSpan is one caller's batch of real sweeps for RFFTSpans: the
-// sweeps, the window applied to every one of them, and the arena their
-// spectra land in. Dst must be Len()*(n/2+1) bins long — callers size
-// it, so RFFTSpans never reallocates an arena it does not own — and
-// sweep i's n/2+1 non-negative-frequency bins land in
-// Dst[i*(n/2+1):(i+1)*(n/2+1)].
-type RFFTSpan struct {
-	Dst    []complex128
-	Sweeps [][]float64
-	Window []float64
-	// SweepsI16, when non-nil, replaces Sweeps with quantized int16
-	// sweeps dequantized by Scale through the fused WindowPackInt16
-	// kernel. Because the packed working values and the FFT that follows
-	// are identical to the float64 path's, int16 and float64 spans mix
-	// freely in one call under the same plan.
-	SweepsI16 [][]int16
-	Scale     float64
-}
-
-// Len returns the span's sweep count for whichever representation is
-// set.
-func (sp *RFFTSpan) Len() int {
-	if sp.SweepsI16 != nil {
-		return len(sp.SweepsI16)
-	}
-	return len(sp.Sweeps)
-}
-
-// RFFTSpans runs RealTransform on every sweep of every span in one
-// stage-interleaved pass: all spans' sweeps are packed, the half-size
-// complex FFTs of the whole collection run segment-interleaved through
-// the shared twiddle tables, then all spans are unpacked. Per-sweep
-// arithmetic and its order are exactly RealTransform's, so every output
-// segment is bit-identical to the sequential call; what changes is that
-// the twiddle tables are streamed from memory once per stage for the
-// combined collection instead of once per sweep. One span is a frame's
-// sweeps; the sweep path passes one span per call.
-//
-// segs is the gather-list scratch (grown as needed and returned), so a
-// steady-state caller allocates nothing.
-func (p *Plan) RFFTSpans(spans []RFFTSpan, segs [][]complex128) [][]complex128 {
-	h := p.n / 2
-	seg := h + 1
-	for si := range spans {
-		sp := &spans[si]
-		if len(sp.Dst) != sp.Len()*seg {
-			panic(fmt.Sprintf("dsp: RFFTSpans dst of %d bins is not %d × %d", len(sp.Dst), sp.Len(), seg))
-		}
-		if sp.SweepsI16 != nil {
-			for i, sw := range sp.SweepsI16 {
-				p.WindowPackInt16(sp.Dst[i*seg:i*seg+seg], sw, sp.Scale, sp.Window)
-			}
-		} else {
-			for i, sw := range sp.Sweeps {
-				p.packReal(sp.Dst[i*seg:i*seg+seg], sw, sp.Window)
-			}
-		}
-	}
-	if p.n == 1 {
-		return segs
-	}
-	segs = segs[:0]
-	for si := range spans {
-		sp := &spans[si]
-		for i := 0; i < sp.Len(); i++ {
-			segs = append(segs, sp.Dst[i*seg:i*seg+h])
-		}
-	}
-	p.half.TransformSegs(segs)
-	for si := range spans {
-		sp := &spans[si]
-		for i := 0; i < sp.Len(); i++ {
-			p.unpackReal(sp.Dst[i*seg : i*seg+seg])
-		}
-	}
-	return segs
 }
 
 // Inverse computes the in-place inverse FFT of x, including the 1/N

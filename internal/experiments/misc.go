@@ -323,8 +323,8 @@ type PipelineThroughputResult struct {
 	// TimeDomainAllocsPerFrame is the allocation rate of that run.
 	TimeDomainAllocsPerFrame float64 `json:"time_domain_allocs_per_frame"`
 	// Int16ReplayFPS is frames/sec replaying a quantized int16 sweep
-	// trace (delta-decoded ADC codes through the fused dequantize+
-	// window kernels) with one worker per antenna. Replay pays no
+	// trace (delta-decoded ADC codes through the int16 frame body)
+	// with one worker per antenna. Replay pays no
 	// synthesis cost, so this is the decode+FFT throughput of the
 	// fixed-point path and must beat TimeDomainFPS.
 	Int16ReplayFPS float64 `json:"int16_replay_fps"`
@@ -474,8 +474,8 @@ func PipelineThroughput(duration float64, seed int64) (*PipelineThroughputResult
 
 // timeInt16Replay records a quantized walk into an in-memory int16
 // sweep trace once, then times a warm replay of it with one worker per
-// antenna: delta-decoded ADC codes streaming through the fused
-// dequantize+window kernels, no synthesis on the clock. Returns frame
+// antenna: delta-decoded ADC codes streaming through the int16 frame
+// body, no synthesis on the clock. Returns frame
 // throughput, the allocation rate, and the compressed trace bytes per
 // frame.
 func timeInt16Replay(duration float64, seed int64) (fps, allocsPerFrame, bytesPerFrame float64, err error) {
@@ -553,8 +553,8 @@ func timeInt16Replay(duration float64, seed int64) (fps, allocsPerFrame, bytesPe
 
 // int16SpectrumOracle measures the quantized sweep path against the
 // unquantized float64 reference over a set of realistic frames: the
-// worst absolute per-bin deviation across quantize → fused
-// dequantize+window+FFT, together with the analytic bound it must stay
+// worst absolute per-bin deviation across quantize → code sum →
+// dequantize → window → FFT, together with the analytic bound it must stay
 // under. The full scale comes from fmcw.ADCFullScale for the frame's
 // paths, matching how core sizes a device's converter.
 func int16SpectrumOracle(seed int64) (maxErr, bound float64) {

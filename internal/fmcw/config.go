@@ -46,8 +46,8 @@ type Config struct {
 	// ADCBits, when nonzero, models the receiver's digitizer: slow-path
 	// time-domain sweeps are quantized to signed ADCBits-bit codes (12,
 	// 14, or 16 — the common FMCW front-end widths) before any spectral
-	// processing, and the pipeline runs fused dequantize+window kernels
-	// on the compact int16 representation instead of float64 samples.
+	// processing, and the pipeline sums the compact int16 codes exactly
+	// and dequantizes each frame's sum once instead of every sample.
 	// Zero keeps the exact float64 synthesis path. Only meaningful with
 	// slow (time-domain) synthesis; the fast frequency-domain path never
 	// materializes samples to quantize.
@@ -60,6 +60,14 @@ type Config struct {
 // trace names its own radio, so the cap keeps a forged trace from
 // making a device allocate and compute without bound.
 const MaxSamplesPerSweep = 1 << 14
+
+// MaxSweepsPerFrame caps the sweeps Validate accepts per frame: 1,024,
+// far above the 5 of the paper's radio and the 8 of the compact one.
+// The int16 sweep path sums a frame's codes in int32, which stays exact
+// up to 65,536 full-scale sweeps, and a replayed trace names its own
+// frame shape, so the cap keeps both the sum and a forged trace's
+// frame size bounded.
+const MaxSweepsPerFrame = 1 << 10
 
 // Default returns the paper's prototype configuration.
 func Default() Config {
@@ -86,6 +94,8 @@ func (c Config) Validate() error {
 		return errors.New("fmcw: sweep time and sample rate must be positive")
 	case c.SweepsPerFrame < 1:
 		return errors.New("fmcw: need at least one sweep per frame")
+	case c.SweepsPerFrame > MaxSweepsPerFrame:
+		return fmt.Errorf("fmcw: %d sweeps per frame exceeds the cap of %d", c.SweepsPerFrame, MaxSweepsPerFrame)
 	case c.TxPowerWatts <= 0 || c.NoiseFloorWatts <= 0:
 		return errors.New("fmcw: powers must be positive")
 	case c.MaxRange <= 0:

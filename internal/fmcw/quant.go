@@ -38,8 +38,9 @@ func ADCFullScale(paths []Path, noiseFloorWatts float64) float64 {
 // Quantizer is the ADC model of the int16 sweep path: a symmetric
 // mid-tread rounding quantizer with ADCBits of resolution over
 // ±FullScale. Codes are signed ADCBits-bit integers carried in int16;
-// dequantization is exactly float64(code) * Scale (both factors are
-// what the fused dsp kernels consume). Samples beyond the rails are
+// dequantization is exactly float64(code) * Scale, and the sweep path
+// applies it once to each frame's exact int32 code sum. Samples beyond
+// the rails are
 // clamped to the extreme codes and counted — clipping is lossy beyond
 // the stated quantization bound, so the pipeline's oracles assert the
 // count stays zero.

@@ -1,6 +1,7 @@
 package fmcw
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -13,7 +14,7 @@ import (
 // tracking pipeline consumes. It supports two equivalent levels:
 //
 //   - SynthesizeSweep/FrameFromSweeps: generate the time-domain baseband
-//     signal sample by sample, window it, FFT it — the exact processing
+//     signal sample by sample, then window and FFT it — the processing
 //     of the paper's §7 implementation.
 //   - SynthesizeFrame: generate the windowed FFT frame directly in the
 //     frequency domain using the window's spectral kernel. This is
@@ -25,7 +26,9 @@ import (
 //
 // Both levels average SweepsPerFrame sweeps coherently (complex average,
 // then magnitude), implementing the paper's 5-sweep averaging that boosts
-// human reflections against noise (§4.3).
+// human reflections against noise (§4.3). The time-domain level averages
+// the sweeps before its one FFT per frame, which by linearity of the DFT
+// is the average of the sweep spectra.
 type Synthesizer struct {
 	cfg    Config
 	window []float64
@@ -48,16 +51,19 @@ type Synthesizer struct {
 }
 
 // SweepScratch owns the reusable buffers of the time-domain sweep path:
-// the RFFT arena and (for the full slow-synthesis entry points) the
-// per-sweep sample buffers. A scratch must be owned by exactly one
-// goroutine — each pipeline worker holds its own, while the
-// synthesizer's immutable FFT plan is shared by all of them.
+// the frame's sweep sums, the one spectrum they are transformed into,
+// and (for the full slow-synthesis entry points) the per-sweep sample
+// buffers. A scratch must be owned by exactly one goroutine — each
+// pipeline worker holds its own, while the synthesizer's immutable FFT
+// plan is shared by all of them.
 type SweepScratch struct {
-	// spec is the RFFT arena: one frame's sweeps are transformed in a
-	// single RFFTSpans call, one segment of FFTSize/2 + 1 bins per sweep.
+	// sum is the frame's sweeps summed sample by sample, the input of
+	// the frame's one transform.
+	sum []float64
+	// sum16 is the exact int32 sum of an int16 frame's codes.
+	sum16 []int32
+	// spec is the FFTSize/2 + 1 bins of the summed sweep's spectrum.
 	spec []complex128
-	// segs is the RFFTSpans gather-list scratch.
-	segs [][]complex128
 	// sweeps are SweepsPerFrame time-domain sample buffers.
 	sweeps [][]float64
 }
@@ -238,9 +244,10 @@ func (s *Synthesizer) SynthesizeSweepInto(dst []float64, paths []Path, rng *rand
 	return dst
 }
 
-// ComplexFrameFromSweeps runs the paper's exact per-frame processing on
-// time-domain sweeps: window + FFT each sweep, coherently average the
-// complex spectra, truncated to the range bins of interest.
+// ComplexFrameFromSweeps runs the paper's per-frame processing on
+// time-domain sweeps: the coherent average of the windowed sweep
+// spectra, truncated to the range bins of interest (see
+// ComplexFrameFromSweepsInto for how it is computed).
 func (s *Synthesizer) ComplexFrameFromSweeps(sweeps [][]float64) dsp.ComplexFrame {
 	return s.ComplexFrameFromSweepsInto(nil, sweeps, s.NewSweepScratch())
 }
@@ -249,58 +256,84 @@ func (s *Synthesizer) ComplexFrameFromSweeps(sweeps [][]float64) dsp.ComplexFram
 // caller-owned buffers: the averaged frame lands in dst (reallocated
 // only when the length is wrong) and all intermediate work runs in ws,
 // so a streaming caller allocates nothing.
+//
+// The FFT is linear, so the average of the windowed sweep spectra is
+// the spectrum of the windowed average sweep: the sweeps are summed
+// sample by sample in sweep order, and the sum is windowed and
+// transformed once, whatever the sweep count. Every sweep must have
+// the radio's SamplesPerSweep samples; a sweep of any other length is a
+// programmer error and panics.
 func (s *Synthesizer) ComplexFrameFromSweepsInto(dst dsp.ComplexFrame, sweeps [][]float64, ws *SweepScratch) dsp.ComplexFrame {
-	return s.frameFromSpan(dst, dsp.RFFTSpan{Sweeps: sweeps}, ws)
+	ws.sum = sized(ws.sum, len(s.window))
+	sum := ws.sum
+	clear(sum)
+	for i, sw := range sweeps {
+		s.checkSweep(i, len(sw))
+		for j, v := range sw {
+			sum[j] += v
+		}
+	}
+	return s.frameFromSum(dst, len(sweeps), ws)
 }
 
 // ComplexFrameFromSweepsInt16Into is ComplexFrameFromSweepsInto over
-// quantized int16 sweeps, entered through the fused dequantize+window
-// kernel (dsp.Plan.WindowPackInt16) so the samples stay on their
-// compact wire representation until they are packed into the FFT
-// working buffer. The output is bit-identical to dequantizing every
-// sweep into float64 and calling ComplexFrameFromSweepsInto — the fused
-// kernel's pinned contract — so the only deviation from the unquantized
-// path is the quantization itself, bounded by QuantErrorBound(scale).
+// quantized int16 sweeps dequantized by scale. The codes are summed in
+// int32, which is exact: a frame holds at most MaxSweepsPerFrame
+// sweeps, so no sum overflows, and a frame of more sweeps panics like a
+// sweep of the wrong length. The exact sum is dequantized once, so the
+// only deviation from the unquantized path is the quantization itself,
+// bounded by QuantErrorBound(scale).
 func (s *Synthesizer) ComplexFrameFromSweepsInt16Into(dst dsp.ComplexFrame, sweeps [][]int16, scale float64, ws *SweepScratch) dsp.ComplexFrame {
-	return s.frameFromSpan(dst, dsp.RFFTSpan{SweepsI16: sweeps, Scale: scale}, ws)
+	if len(sweeps) > MaxSweepsPerFrame {
+		panic(fmt.Sprintf("fmcw: int16 frame of %d sweeps exceeds the cap of %d", len(sweeps), MaxSweepsPerFrame))
+	}
+	ns := len(s.window)
+	ws.sum16 = sized(ws.sum16, ns)
+	acc := ws.sum16
+	clear(acc)
+	for i, sw := range sweeps {
+		s.checkSweep(i, len(sw))
+		for j, c := range sw {
+			acc[j] += int32(c)
+		}
+	}
+	ws.sum = sized(ws.sum, ns)
+	sum := ws.sum
+	for j, v := range acc {
+		sum[j] = float64(v) * scale
+	}
+	return s.frameFromSum(dst, len(sweeps), ws)
 }
 
-// frameFromSpan is the one frame body behind both entry points: it
-// windows and transforms all of sp's sweeps in one RFFTSpans call —
-// every sweep shares a single pass over each stage's twiddle table, and
-// each sweep's bins are bit-identical to a sequential RealTransform —
-// then coherently averages them in sweep order (the accumulation order
-// the golden digests pin). The arena is sized to the frame's sweep
-// count, so a frame with more or fewer sweeps than the radio's resizes
-// it and the next normal frame resizes it back.
-func (s *Synthesizer) frameFromSpan(dst dsp.ComplexFrame, sp dsp.RFFTSpan, ws *SweepScratch) dsp.ComplexFrame {
+// checkSweep panics unless sweep i has the radio's sample count, which
+// is the window's length.
+func (s *Synthesizer) checkSweep(i, n int) {
+	if n != len(s.window) {
+		panic(fmt.Sprintf("fmcw: sweep %d has %d samples, the radio takes %d", i, n, len(s.window)))
+	}
+}
+
+// sized returns buf when it has n elements and a fresh n-element slice
+// otherwise.
+func sized[T any](buf []T, n int) []T {
+	if len(buf) != n {
+		return make([]T, n)
+	}
+	return buf
+}
+
+// frameFromSum is the one frame body behind both entry points: it
+// windows and transforms ws.sum, the sum of a frame's n sweeps, and
+// scales the range bins by 1/n into dst.
+func (s *Synthesizer) frameFromSum(dst dsp.ComplexFrame, n int, ws *SweepScratch) dsp.ComplexFrame {
+	ws.spec = s.plan.RealTransform(ws.spec, ws.sum, s.window)
 	nb := s.cfg.RangeBins()
 	if len(dst) != nb {
 		dst = make(dsp.ComplexFrame, nb)
-	} else {
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
-	n := sp.Len()
-	seg := s.cfg.FFTSize()/2 + 1
-	if len(ws.spec) != n*seg {
-		ws.spec = make([]complex128, n*seg)
-		ws.segs = make([][]complex128, 0, n)
-	}
-	sp.Dst = ws.spec
-	sp.Window = s.window
-	spans := [1]dsp.RFFTSpan{sp}
-	ws.segs = s.plan.RFFTSpans(spans[:], ws.segs)
-	for j := 0; j < n; j++ {
-		bins := ws.spec[j*seg : j*seg+nb]
-		for i := range dst {
-			dst[i] += bins[i]
-		}
 	}
 	inv := complex(1/float64(n), 0)
 	for i := range dst {
-		dst[i] *= inv
+		dst[i] = ws.spec[i] * inv
 	}
 	return dst
 }

@@ -157,8 +157,8 @@ type RadioSpec struct {
 	SweepTime float64 `json:"sweep_time,omitempty"`
 	// ADCBits models the converter resolution (12, 14, or 16): the
 	// time-domain sweeps are quantized to signed ADC codes at the
-	// source and the pipeline runs on them through the fused
-	// dequantize+window kernels. Requires a SlowSynth device (the fast
+	// source and the pipeline sums them exactly and dequantizes each
+	// frame's sum once. Requires a SlowSynth device (the fast
 	// path never materializes samples to digitize). Zero keeps the
 	// ideal float64 front end.
 	ADCBits int `json:"adc_bits,omitempty"`
@@ -272,6 +272,13 @@ func protocol(kind string) bool {
 // but the ceiling keeps a misauthored spec from going combinatorial.
 const MaxBodies = 4
 
+// MaxMotionDuration caps a walk's or a static body's duration at one
+// hour, 60 times the longest run in the repo (60 s at paper scale). A
+// walk builds its segments for the whole duration before the first
+// frame, and a replayed trace names its own scenario, so the cap keeps a
+// forged provenance from allocating without bound.
+const MaxMotionDuration = 3600.0
+
 // Validate checks the spec is well-formed and runnable.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
@@ -289,8 +296,8 @@ func (s *Spec) Validate() error {
 		m := b.Motion
 		switch m.Kind {
 		case MotionWalk, MotionStatic:
-			if m.Duration <= 0 {
-				return fmt.Errorf("scenario %q body %d: %s needs a positive duration", s.Name, i, m.Kind)
+			if !(m.Duration > 0 && m.Duration <= MaxMotionDuration) {
+				return fmt.Errorf("scenario %q body %d: %s duration %g s is outside (0, %g]", s.Name, i, m.Kind, m.Duration, MaxMotionDuration)
 			}
 		case MotionActivity:
 			if _, err := parseActivity(m.Activity); err != nil {

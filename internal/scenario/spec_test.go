@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -92,6 +93,13 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"no name", &Spec{Bodies: []BodySpec{{Motion: MotionSpec{Kind: MotionWalk, Duration: 5}}}}},
 		{"no bodies", New("x", "")},
 		{"zero duration walk", New("x", "").Body(BodySpec{Motion: MotionSpec{Kind: MotionWalk}})},
+		{"negative duration walk", New("x", "").Walk(-5, 1)},
+		{"NaN duration walk", New("x", "").Walk(math.NaN(), 1)},
+		{"infinite walk", New("x", "").Walk(math.Inf(1), 1)},
+		{"walk past the cap", New("x", "").Walk(MaxMotionDuration+1, 1)},
+		{"1e9 s walk", New("x", "").Walk(1e9, 1)},
+		{"NaN duration static", New("x", "").Static(0, 5, math.NaN())},
+		{"static past the cap", New("x", "").Static(0, 5, MaxMotionDuration+1)},
 		{"bad activity", New("x", "").Body(BodySpec{Motion: MotionSpec{Kind: MotionActivity, Activity: "moonwalk"}})},
 		{"bad room", func() *Spec { s := New("x", "").Walk(5, 1); s.Env.Room = "dungeon"; return s }()},
 		{"five bodies", New("x", "").Walk(5, 1).Walk(5, 2).Walk(5, 3).Walk(5, 4).Walk(5, 5)},
@@ -109,6 +117,11 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	for _, sp := range Canonical() {
 		if err := sp.Validate(); err != nil {
 			t.Errorf("canonical %q invalid: %v", sp.Name, err)
+		}
+	}
+	for _, sp := range []*Spec{New("x", "").Walk(MaxMotionDuration, 1), New("x", "").Static(0, 5, MaxMotionDuration)} {
+		if err := sp.Validate(); err != nil {
+			t.Errorf("motion at the duration cap refused: %v", err)
 		}
 	}
 }

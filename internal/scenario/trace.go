@@ -362,8 +362,8 @@ func SweepCell() Spec {
 // SweepCellInt16 is SweepCell behind a modeled 14-bit ADC: the same
 // walk, radio, and seeds, but the sweeps are digitized at the source
 // and recorded as delta-coded int16 codes (trace.SampleInt16), so a
-// replay exercises the fused dequantize+window kernels and the ~4x
-// cheaper quantized ingest path end to end.
+// replay exercises the int16 frame body (exact code sum, one
+// dequantize) and the ~4x cheaper quantized ingest path end to end.
 func SweepCellInt16() Spec {
 	sp := SweepCell()
 	sp.Name = "sweep-walk-int16"
@@ -414,7 +414,7 @@ func Corpus() []Spec {
 		// A quantized sweep-domain cell: the walk is captured as
 		// delta-coded 14-bit ADC codes on the compact sweep radio (see
 		// SweepCell), so every corpus replay also exercises the int16
-		// decode → fused dequantize+window → RFFT ingest path. Kept short
+		// decode → code sum → dequantize → RFFT ingest path. Kept short
 		// — raw sweeps are bulky even quantized.
 		*New("corpus-int16", "quantized int16 sweep-domain walk for the replay corpus").
 			Seeded(761).

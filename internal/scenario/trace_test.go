@@ -155,8 +155,9 @@ func TestSweepCellReplayMatchesLiveCell(t *testing.T) {
 
 // TestSweepCellInt16ReplayMatchesLiveCell extends the sweep-domain
 // equivalence gate to the quantized path: the int16 cell recorded as
-// delta-coded ADC codes and replayed through the fused dequantize +
-// window kernels must score bit-identical to the live quantized run —
+// delta-coded ADC codes and replayed through the int16 frame body
+// (exact code sum, one dequantize, window, FFT) must score
+// bit-identical to the live quantized run —
 // and the trace must actually carry the int16 encoding, substantially smaller than the float64
 // recording of the same walk. RecordCell must write the same bytes as
 // RecordCellSweeps for it.
@@ -335,9 +336,47 @@ func TestReplayRejectsTamperedProvenance(t *testing.T) {
 // agree on a radio past fmcw.MaxSamplesPerSweep is refused before the
 // replaying device builds its synthesizer, whose window, FFT plan and
 // kernel table would otherwise grow with whatever sweep the trace names.
+// The trace is a bin-domain one, which names its sweep only in the
+// radio: a sweep-domain header declaring such a sweep shape is already
+// refused by the trace reader (trace's TestHeaderCaps).
 func TestReplayRefusesForgedRadio(t *testing.T) {
 	sp := SweepCell()
 	sp.Devices[0].Radio.SampleRate = 1e9 // 2,500,000 samples per 2.5 ms sweep
+	c, err := Compile(&sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radio := c.Config.Radio
+	h := trace.Header{
+		Name:     sp.Name,
+		Seed:     c.Config.Seed,
+		Interval: radio.FrameInterval(),
+		NumRx:    len(c.Config.Array.Rx),
+		Radio:    radio,
+		Array:    c.Config.Array,
+	}
+	if h.Scenario, err = json.Marshal(&sp); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReplayTrace(context.Background(), bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "samples per sweep exceeds") {
+		t.Fatalf("replay of a trace naming a %d-sample sweep returned %v, want the sweep-length refusal", radio.SamplesPerSweep(), err)
+	}
+}
+
+// TestReplayRefusesForgedDuration: a trace whose provenance names a
+// 1e9 s walk is refused before the replaying device builds the walk,
+// whose segments would otherwise cover the whole declared duration.
+func TestReplayRefusesForgedDuration(t *testing.T) {
+	sp := SweepCell()
 	c, err := Compile(&sp, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -354,6 +393,7 @@ func TestReplayRefusesForgedRadio(t *testing.T) {
 		SweepsPerFrame:  radio.SweepsPerFrame,
 		SamplesPerSweep: radio.SamplesPerSweep(),
 	}
+	sp.Bodies[0].Motion.Duration = 1e9
 	if h.Scenario, err = json.Marshal(&sp); err != nil {
 		t.Fatal(err)
 	}
@@ -366,8 +406,8 @@ func TestReplayRefusesForgedRadio(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = ReplayTrace(context.Background(), bytes.NewReader(buf.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), "samples per sweep exceeds") {
-		t.Fatalf("replay of a trace naming a %d-sample sweep returned %v, want the sweep-length refusal", radio.SamplesPerSweep(), err)
+	if err == nil || !strings.Contains(err.Error(), "duration") {
+		t.Fatalf("replay of a trace naming a 1e9 s walk returned %v, want the duration refusal", err)
 	}
 }
 

@@ -3,7 +3,9 @@ package svc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"net"
 	"net/http"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"witrack/internal/scenario"
+	"witrack/internal/trace"
 )
 
 // corpusDir is the golden trace corpus the scenario gate pins — the
@@ -267,7 +270,7 @@ func TestSvcSweepSessionsCoalesce(t *testing.T) {
 // TestSvcInt16SweepSessionsCoalesce extends the sweep parity gate to
 // the quantized ingest path, mixed with full-precision sessions: two
 // sessions replay the int16 sweep trace (delta-coded ADC codes through
-// the fused dequantize+window kernels) while two replay the float64
+// the int16 frame body) while two replay the float64
 // recording of the same radio, and every served result must be
 // bit-identical to its own local offline replay. The int16 trace must
 // also be at least 3x smaller than the float64 one.
@@ -510,6 +513,65 @@ func TestSvcRefusesHugeQueueDepth(t *testing.T) {
 		t.Fatalf("session after the refusals failed: %s", sum.Error)
 	}
 	sameResult(t, "after-refusal", sum.Result, replayLocal(t, data))
+}
+
+// forgedHeaderTrace returns an empty trace whose header, under a valid
+// CRC, declares 2^50 antennas.
+func forgedHeaderTrace(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, trace.Header{Interval: 0.0125, NumRx: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	empty := buf.Bytes()
+	body := empty[12+binary.LittleEndian.Uint32(empty[8:12])+4:]
+	js := []byte(`{"interval":0.0125,"num_rx":1125899906842624}`)
+	out := append([]byte(nil), empty[:8]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(js)))
+	out = append(out, js...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(js))
+	return append(out, body...)
+}
+
+// TestSvcRefusesForgedTraceHeader: a TCP ingest whose trace header
+// declares 2^50 antennas gets a failed close summary, and the daemon
+// keeps serving corpus sessions afterwards.
+func TestSvcRefusesForgedTraceHeader(t *testing.T) {
+	srv := startServer(t, Config{PoolSize: 1})
+	client := &Client{Mgmt: "http://" + srv.MgmtAddr()}
+	info, err := client.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := client.CreateSession(CreateRequest{Name: "forged"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := IngestTCP(info.IngestAddr, forged.ID, forgedHeaderTrace(t), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.OK || !strings.Contains(sum.Error, "antenna count") {
+		t.Fatalf("forged header: summary %+v, want a failure naming the antenna count", sum)
+	}
+
+	data := corpusTraces(t)["corpus-static-d0.wtrace"]
+	stats, err := client.CreateSession(CreateRequest{Name: "after-forged"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err = IngestTCP(info.IngestAddr, stats.ID, data, IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sum.OK {
+		t.Fatalf("session after the forged header failed: %s", sum.Error)
+	}
+	sameResult(t, "after-forged", sum.Result, replayLocal(t, data))
 }
 
 // TestSvcHTTPIngest covers the HTTP ingest plane: POSTing the trace

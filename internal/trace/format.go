@@ -112,6 +112,12 @@ const trailerSentinel = 0xFFFFFFFF
 // byte is caught as corruption instead of a silent mis-decode.
 const MaxTruths = 16
 
+// MaxNumRx caps the antenna count a header may declare: 64, far above
+// the repo's 3- and 4-antenna arrays. A reader sizes per-antenna state
+// from the header before the first frame, so the cap keeps a forged
+// header from allocating without bound.
+const MaxNumRx = 64
+
 // maxHeaderLen bounds the JSON header so a corrupt length prefix cannot
 // force a huge allocation.
 const maxHeaderLen = 1 << 20
@@ -194,8 +200,8 @@ func (h *Header) Validate() error {
 	if h.Interval <= 0 {
 		return fmt.Errorf("%w: non-positive frame interval %g", ErrCorrupt, h.Interval)
 	}
-	if h.NumRx <= 0 {
-		return fmt.Errorf("%w: non-positive antenna count %d", ErrCorrupt, h.NumRx)
+	if h.NumRx <= 0 || h.NumRx > MaxNumRx {
+		return fmt.Errorf("%w: antenna count %d is outside 1..%d", ErrCorrupt, h.NumRx, MaxNumRx)
 	}
 	if h.Bins < 0 || h.Frames < 0 || h.CalibrateFrames < 0 {
 		return fmt.Errorf("%w: negative header count", ErrCorrupt)
@@ -209,9 +215,12 @@ func (h *Header) Validate() error {
 			return fmt.Errorf("%w: sample encoding %q on a bin-domain trace", ErrCorrupt, h.Sample)
 		}
 	case DomainSweeps:
-		if h.SweepsPerFrame <= 0 || h.SamplesPerSweep <= 0 {
-			return fmt.Errorf("%w: sweep-domain trace needs positive sweep shape, got %d × %d",
-				ErrCorrupt, h.SweepsPerFrame, h.SamplesPerSweep)
+		// The caps are the radio's own (fmcw.Config.Validate), so the
+		// per-frame sample count spf*ns cannot overflow an int.
+		if h.SweepsPerFrame <= 0 || h.SamplesPerSweep <= 0 ||
+			h.SweepsPerFrame > fmcw.MaxSweepsPerFrame || h.SamplesPerSweep > fmcw.MaxSamplesPerSweep {
+			return fmt.Errorf("%w: sweep shape %d × %d is outside 1..%d sweeps of 1..%d samples",
+				ErrCorrupt, h.SweepsPerFrame, h.SamplesPerSweep, fmcw.MaxSweepsPerFrame, fmcw.MaxSamplesPerSweep)
 		}
 		switch h.Sample {
 		case "":

@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"testing"
@@ -263,4 +267,48 @@ func bodyStateBitsEqual(a, b motion.BodyState) bool {
 	}
 	return vec(a.Center, b.Center) && vec(a.Hand, b.Hand) &&
 		a.Moving == b.Moving && a.HandActive == b.HandActive
+}
+
+// frameHeaderJSON wraps header JSON in a valid preamble, length and CRC
+// and appends a valid empty body, so the JSON is the only thing a
+// reader can object to.
+func frameHeaderJSON(t testing.TB, js []byte) []byte {
+	var buf bytes.Buffer
+	tw, err := NewWriter(&buf, testHeader(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	empty := buf.Bytes()
+	body := empty[12+binary.LittleEndian.Uint32(empty[8:12])+4:]
+	out := append([]byte(nil), Magic[:]...)
+	out = binary.LittleEndian.AppendUint16(out, Version)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(js)))
+	out = append(out, js...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(js))
+	return append(out, body...)
+}
+
+// FuzzTraceHeader reaches the header JSON, which FuzzTraceRoundTrip
+// cannot: a mutated header there fails its CRC. Whatever the JSON
+// declares, opening and draining the trace must end in an error or
+// EOF, never a panic.
+func FuzzTraceHeader(f *testing.F) {
+	for _, h := range []Header{testHeader(2), testHeaderInt16(3)} {
+		js, err := json.Marshal(&h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(js)
+	}
+	f.Add([]byte(`{"interval":0.0125,"num_rx":1125899906842624}`))
+	f.Add([]byte(`{"interval":0.0125,"num_rx":2,"domain":"sweeps","sweeps_per_frame":1099511627776,"samples_per_sweep":1099511627776,"sample":"int16","adc_bits":14,"adc_scale":0.001}`))
+	f.Fuzz(func(t *testing.T, js []byte) {
+		err := drainTrace(frameHeaderJSON(t, js))
+		if !errors.Is(err, io.EOF) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+			t.Fatalf("drain ended with %v, want EOF or a trace error", err)
+		}
+	})
 }

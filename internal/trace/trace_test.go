@@ -406,6 +406,37 @@ func TestHeaderValidation(t *testing.T) {
 	}
 }
 
+// TestHeaderCaps pins the bounds a header may declare: the antenna
+// count and the sweep shape are capped, because a reader and a replaying
+// device size their state from them before the first frame.
+func TestHeaderCaps(t *testing.T) {
+	cases := []struct {
+		label  string
+		mutate func(*Header)
+		ok     bool
+	}{
+		{"antennas at the cap", func(h *Header) { h.NumRx = MaxNumRx }, true},
+		{"antennas past the cap", func(h *Header) { h.NumRx = MaxNumRx + 1 }, false},
+		{"2^50 antennas", func(h *Header) { h.NumRx = 1 << 50 }, false},
+		{"sweeps at the cap", func(h *Header) { h.SweepsPerFrame = fmcw.MaxSweepsPerFrame }, true},
+		{"sweeps past the cap", func(h *Header) { h.SweepsPerFrame = fmcw.MaxSweepsPerFrame + 1 }, false},
+		{"samples at the cap", func(h *Header) { h.SamplesPerSweep = fmcw.MaxSamplesPerSweep }, true},
+		{"samples past the cap", func(h *Header) { h.SamplesPerSweep = fmcw.MaxSamplesPerSweep + 1 }, false},
+		{"2^40 × 2^40 sweep shape", func(h *Header) { h.SweepsPerFrame, h.SamplesPerSweep = 1<<40, 1<<40 }, false},
+	}
+	for _, c := range cases {
+		h := testHeaderInt16(2)
+		c.mutate(&h)
+		err := h.Validate()
+		if c.ok && err != nil {
+			t.Errorf("%s: refused: %v", c.label, err)
+		}
+		if !c.ok && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", c.label, err)
+		}
+	}
+}
+
 func TestWriterRejectsAntennaMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	tw, err := NewWriter(&buf, testHeader(3))
