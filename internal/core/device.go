@@ -279,16 +279,13 @@ func (d *Device) Run(traj motion.Trajectory) *RunResult {
 func (d *Device) CalibrateBackground(frames int) {
 	nRx := len(d.cfg.Array.Rx)
 	for k := 0; k < nRx; k++ {
-		var recorded []dsp.ComplexFrame
-		for i := 0; i < frames; i++ {
+		d.trackers[k].SetBackground(track.AverageBackground(frames, func() dsp.ComplexFrame {
 			paths := d.prop.StaticPaths(k)
 			if d.cfg.SlowSynth {
-				recorded = append(recorded, d.synth.SynthesizeComplexFrameSlow(paths, d.rng))
-			} else {
-				recorded = append(recorded, d.synth.SynthesizeComplexFrame(paths, d.rng))
+				return d.synth.SynthesizeComplexFrameSlow(paths, d.rng)
 			}
-		}
-		d.trackers[k].SetBackground(track.AverageBackground(recorded))
+			return d.synth.SynthesizeComplexFrame(paths, d.rng)
+		}))
 	}
 }
 

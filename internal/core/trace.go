@@ -137,7 +137,7 @@ func checkBins(frames []dsp.ComplexFrame, bins int) error {
 // delta-decodes each antenna's ADC codes into the batch's recycled
 // backing buffers, and the per-sweep job views are re-sliced over them
 // in place — no dequantized staging copy exists anywhere; the workers'
-// fused kernels read the codes directly.
+// frame body sums the codes in int32 and dequantizes the sum once.
 func (s *TraceSource) nextInt16() *FrameBatch {
 	h := s.r.Header()
 	b := s.ring.get()

@@ -279,6 +279,13 @@ const MaxBodies = 4
 // forged provenance from allocating without bound.
 const MaxMotionDuration = 3600.0
 
+// MaxCalibrateFrames caps a device's empty-room calibration at 1,000
+// frames: 12.5 s at 80 frames/s, 25 times the repo's 40. Calibration
+// synthesizes every frame before the first tracked one, and a replayed
+// trace names its own count, so the cap keeps a forged provenance from
+// holding a session in set-up without bound.
+const MaxCalibrateFrames = 1000
+
 // Validate checks the spec is well-formed and runnable.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
@@ -327,6 +334,9 @@ func (s *Spec) Validate() error {
 	for di, d := range s.Devices {
 		if d.Separation < 0 || d.Height < 0 {
 			return fmt.Errorf("scenario %q device %d: negative geometry", s.Name, di)
+		}
+		if d.CalibrateFrames > MaxCalibrateFrames {
+			return fmt.Errorf("scenario %q device %d: %d calibration frames exceed %d", s.Name, di, d.CalibrateFrames, MaxCalibrateFrames)
 		}
 		switch d.Tracker.Mode {
 		case "", "contour", "strongest":

@@ -108,6 +108,8 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"two-person protocol", New("x", "").Walk(5, 1).Body(BodySpec{Motion: MotionSpec{Kind: MotionFallStudy}})},
 		{"bad op", New("x", "").Walk(5, 1).Assert("valid_frac", "==", 1)},
 		{"bad tracker mode", New("x", "").Walk(5, 1).Device(DeviceSpec{Tracker: TrackerSpec{Mode: "psychic"}})},
+		{"calibration past the cap", New("x", "").Static(0, 5, 5).Device(DeviceSpec{CalibrateFrames: MaxCalibrateFrames + 1})},
+		{"1e9 calibration frames", New("x", "").Static(0, 5, 5).Device(DeviceSpec{CalibrateFrames: 1e9})},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); err == nil {
@@ -119,9 +121,13 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 			t.Errorf("canonical %q invalid: %v", sp.Name, err)
 		}
 	}
-	for _, sp := range []*Spec{New("x", "").Walk(MaxMotionDuration, 1), New("x", "").Static(0, 5, MaxMotionDuration)} {
+	for _, sp := range []*Spec{
+		New("x", "").Walk(MaxMotionDuration, 1),
+		New("x", "").Static(0, 5, MaxMotionDuration),
+		New("x", "").Static(0, 5, 5).Device(DeviceSpec{CalibrateFrames: MaxCalibrateFrames}),
+	} {
 		if err := sp.Validate(); err != nil {
-			t.Errorf("motion at the duration cap refused: %v", err)
+			t.Errorf("spec at a cap refused: %v", err)
 		}
 	}
 }

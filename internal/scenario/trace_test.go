@@ -411,6 +411,45 @@ func TestReplayRefusesForgedDuration(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesForgedCalibration: a trace whose header and
+// provenance agree on 1e9 calibration frames is refused before the
+// replaying device synthesizes the first of them.
+func TestReplayRefusesForgedCalibration(t *testing.T) {
+	sp := corpusLikeSpec()
+	sp.Devices[0].CalibrateFrames = 1e9
+	// The forged spec no longer compiles; the header's deployment comes
+	// from the original.
+	c, err := Compile(corpusLikeSpec(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radio := c.Config.Radio
+	h := trace.Header{
+		Name:            sp.Name,
+		Seed:            c.Config.Seed,
+		Interval:        radio.FrameInterval(),
+		NumRx:           len(c.Config.Array.Rx),
+		Radio:           radio,
+		Array:           c.Config.Array,
+		CalibrateFrames: sp.Devices[0].CalibrateFrames,
+	}
+	if h.Scenario, err = json.Marshal(sp); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReplayTrace(context.Background(), bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "calibration frames exceed") {
+		t.Fatalf("replay of a trace naming 1e9 calibration frames returned %v, want the calibration refusal", err)
+	}
+}
+
 // TestCorpusSpecsAreRecordable pins the contract behind the checked-in
 // golden corpus: every corpus spec validates, is recordable, and names
 // itself uniquely (also against the canonical matrix, so -spec users

@@ -7,7 +7,8 @@
 // A trace is a self-describing, versioned binary file:
 //
 //	magic      [6]byte  "WTRACE"
-//	version    uint16   little-endian (currently 1)
+//	version    uint16   little-endian (1 for range-bin and float64-sweep
+//	                    traces, 3 for int16 traces)
 //	headerLen  uint32   little-endian
 //	header     JSON     (Header: radio config, array geometry, seed,
 //	                     frame clock, optional scenario provenance)
@@ -38,22 +39,28 @@
 // gzip layer compresses them away — while the transform stays exactly
 // lossless, including NaN payloads.
 //
-// Version 2 adds a second sweep-domain record encoding (Header.Sample
+// Version 2 added a second sweep-domain record encoding (Header.Sample
 // == SampleInt16): quantized ADC codes instead of float64 samples. Its
-// frame record keeps the index/truths prefix and per-antenna framing,
-// but each antenna's body is
-//
-//	count      uint32   samples (SweepsPerFrame × SamplesPerSweep)
-//	samples    count × int16 little-endian, delta-coded
-//
-// where each sample is stored as the wrapping int16 difference against
-// the same sample of the previous frame (zero for the first frame, or
-// when the count changes) — exactly invertible, and because the static
+// frame record keeps the index/truths prefix and per-antenna framing.
+// Each sample is stored as the wrapping int16 difference against the
+// same sample of the previous frame (zero for the first frame, or when
+// the count changes) — exactly invertible, and because the static
 // background synthesizes to identical codes frame after frame, the
 // deltas zero it out entirely, leaving only quantization-scale noise
 // for gzip: 4x smaller raw than the float64 encoding and far more
-// compressible than XOR'd float64 noise mantissas. The stream ends
-// with a trailer:
+// compressible than XOR'd float64 noise mantissas. Since version 3
+// each antenna's body is byte-planar:
+//
+//	count      uint32   samples (SweepsPerFrame × SamplesPerSweep)
+//	low        count × byte, the low byte of each delta
+//	high       count × byte, the high byte of each delta
+//
+// Small deltas make the high plane near-constant runs of 0x00 and 0xFF
+// that DEFLATE codes cheaply, where interleaved bytes broke them into
+// short literals and matches (the byte-shuffle filter HDF5 and Blosc
+// apply before DEFLATE). A version-2 body holds the same deltas as
+// count × int16 little-endian; readers still decode it. The stream
+// ends with a trailer:
 //
 //	sentinel   uint32   0xFFFFFFFF
 //	frames     uint64   total frame count
@@ -64,7 +71,8 @@
 // traces never decode silently and never panic.
 //
 // The body is a standard gzip member (RFC 1952), written by
-// compress/gzip at BestCompression, so any gzip tool reads it. Reader
+// compress/gzip, so any gzip tool reads it: at BestCompression, except
+// int16 traces at DefaultCompression (see NewWriter). Reader
 // decodes it with the package's own allocation-free DEFLATE decoder
 // (inflate.go), which accepts and rejects exactly the streams
 // compress/gzip does and is tested against it as the oracle.
@@ -83,15 +91,17 @@ import (
 // Magic identifies a .wtrace file.
 var Magic = [6]byte{'W', 'T', 'R', 'A', 'C', 'E'}
 
-// Version is the current container version. Readers reject newer
-// versions (the format is self-describing within a version, not
-// across). Version 2 added the SampleInt16 quantized sweep encoding;
-// writers stamp the lowest version that can describe their header, so
+// Version is the current container version. Readers accept versions 1
+// through Version and reject newer ones (the format is self-describing
+// within a version, not across). Version 2 added the SampleInt16
+// quantized sweep encoding; version 3 stores its deltas as byte planes.
+// Writers stamp the lowest version that can describe their header, so
 // traces without int16 records stay byte-identical to version-1 output
 // and old readers keep decoding them.
 const (
-	Version      = 2
-	versionPlain = 1
+	Version         = 3
+	versionPlain    = 1
+	versionPlanar16 = 3
 )
 
 // Ext is the conventional file extension.

@@ -256,6 +256,32 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			mutated[int(uint(len(data))*41%uint(len(mutated)))] ^= 1 << (uint(len(data)) % 8)
 			drainTrace(mutated)
 		}
+
+		// Property 5: the same codes written in the version-2 layout
+		// (interleaved deltas, by the reference encoder) decode equal, and
+		// a bit flip in that trace never panics.
+		enc2 := encodeInt16V2(t, testHeaderInt16(nRx16), codes, nil)
+		tr2, err := NewReader(bytes.NewReader(enc2))
+		if err != nil {
+			t.Fatalf("decoding a version-2 int16 trace: %v", err)
+		}
+		got2, err := readAllInt16(tr2)
+		if err != nil {
+			t.Fatalf("version-2 int16 trace: %v", err)
+		}
+		if len(got2) != len(codes) {
+			t.Fatalf("version-2 int16 trace decoded %d frames, want %d", len(got2), len(codes))
+		}
+		for i := range codes {
+			for k := 0; k < nRx16; k++ {
+				if !int16Equal(got2[i][k], codes[i][k]) {
+					t.Fatalf("version-2 int16 frame %d antenna %d not bit-identical", i, k)
+				}
+			}
+		}
+		mutated := append([]byte(nil), enc2...)
+		mutated[int(uint(len(data))*43%uint(len(mutated)))] ^= 1 << (uint(len(data)) % 8)
+		drainTrace(mutated)
 	})
 }
 

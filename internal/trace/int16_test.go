@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"testing"
@@ -81,6 +83,62 @@ func encodeInt16(t *testing.T, h Header, frames [][][]int16, truths []motion.Bod
 	return buf.Bytes()
 }
 
+// buildTrace assembles a container by hand: the preamble stamped with
+// version, then a gzip body framing each payload with its length and
+// CRC, then the trailer.
+func buildTrace(t *testing.T, version uint16, h Header, payloads [][]byte) []byte {
+	t.Helper()
+	hdr, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := append([]byte(nil), Magic[:]...)
+	pre = binary.LittleEndian.AppendUint16(pre, version)
+	pre = binary.LittleEndian.AppendUint32(pre, uint32(len(hdr)))
+	pre = append(pre, hdr...)
+	pre = binary.LittleEndian.AppendUint32(pre, crc32.ChecksumIEEE(hdr))
+	var body []byte
+	for _, p := range payloads {
+		body = binary.LittleEndian.AppendUint32(body, uint32(len(p)))
+		body = append(body, p...)
+		body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(p))
+	}
+	count := binary.LittleEndian.AppendUint64(nil, uint64(len(payloads)))
+	body = binary.LittleEndian.AppendUint32(body, trailerSentinel)
+	body = append(body, count...)
+	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(count))
+	return joinTrace(t, pre, body)
+}
+
+// encodeInt16V2 is the version-2 int16 encoder, kept as the reference
+// for the old layout: each antenna's wrapping deltas are interleaved as
+// little-endian int16s. truths may be nil.
+func encodeInt16V2(t *testing.T, h Header, frames [][][]int16, truths []motion.BodyState) []byte {
+	t.Helper()
+	prev := make([][]int16, h.NumRx)
+	payloads := make([][]byte, len(frames))
+	for f, fr := range frames {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(f))
+		if truths != nil {
+			b = appendBodyState(append(b, 1), &truths[f])
+		} else {
+			b = append(b, 0)
+		}
+		for k, codes := range fr {
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(codes)))
+			if len(prev[k]) != len(codes) {
+				prev[k] = make([]int16, len(codes))
+			}
+			for i, v := range codes {
+				b = binary.LittleEndian.AppendUint16(b, uint16(v-prev[k][i]))
+				prev[k][i] = v
+			}
+		}
+		payloads[f] = b
+	}
+	return buildTrace(t, 2, h, payloads)
+}
+
 // int16Equal compares code slices exactly.
 func int16Equal(a, b []int16) bool {
 	if len(a) != len(b) {
@@ -118,7 +176,7 @@ func readAllInt16(tr *Reader) (frames [][][]int16, err error) {
 
 // TestInt16RoundTripLossless pins the int16 encoding end to end: codes
 // (rails included), truths, and header quantizer fields all round-trip
-// exactly, the container stamps version 2, and a plain trace written by
+// exactly, the container stamps version 3, and a plain trace written by
 // the same build still stamps version 1 so the checked-in corpus bytes
 // cannot churn.
 func TestInt16RoundTripLossless(t *testing.T) {
@@ -417,6 +475,112 @@ func TestInt16RecoverMode(t *testing.T) {
 		}
 		if diff > 1 {
 			t.Fatalf("frame %d: %d samples diverged, damage not confined", f, diff)
+		}
+	}
+}
+
+// TestInt16Version2Decodes pins the old layout's read path, which no
+// checked-in trace exercises any more: the same codes and truths written
+// as a version-2 trace (interleaved deltas, by the reference encoder)
+// and as a version-3 trace (byte planes) both decode back to the input.
+// In recover mode a version-2 trace with a CRC-damaged record salvages
+// through the interleaved layout, so every later frame is bit-exact.
+func TestInt16Version2Decodes(t *testing.T) {
+	const nRx, samples, n, bad = 3, 16, 10, 4
+	h := testHeaderInt16(nRx)
+	frames, truths := testFramesInt16(nRx, samples, n, 27)
+	v2 := encodeInt16V2(t, h, frames, truths)
+	v3 := encodeInt16(t, h, frames, truths)
+	for _, c := range []struct {
+		version uint16
+		data    []byte
+	}{{2, v2}, {versionPlanar16, v3}} {
+		if v := binary.LittleEndian.Uint16(c.data[6:8]); v != c.version {
+			t.Fatalf("trace stamped version %d, want %d", v, c.version)
+		}
+		tr, err := NewReader(bytes.NewReader(c.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dst [][]int16
+		var tdst []motion.BodyState
+		for f := 0; f < n; f++ {
+			if dst, tdst, err = tr.ReadFrameInt16Into(dst, tdst[:0]); err != nil {
+				t.Fatalf("version %d frame %d: %v", c.version, f, err)
+			}
+			if len(tdst) != 1 || tdst[0] != truths[f] {
+				t.Fatalf("version %d frame %d: truth diverged", c.version, f)
+			}
+			for k := range dst {
+				if !int16Equal(dst[k], frames[f][k]) {
+					t.Fatalf("version %d frame %d antenna %d: codes diverged", c.version, f, k)
+				}
+			}
+		}
+		if _, _, err := tr.ReadFrameInt16Into(dst, nil); err != io.EOF {
+			t.Fatalf("version %d: want io.EOF after the last frame, got %v", c.version, err)
+		}
+	}
+
+	pre, body := splitTrace(t, v2)
+	_, _, crcAt := record(t, body, bad)
+	body[crcAt] ^= 0x01
+	tr, err := NewReader(bytes.NewReader(joinTrace(t, pre, body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetRecover(true)
+	got, err := readAllInt16(tr)
+	if err != nil {
+		t.Fatalf("recover mode: %v", err)
+	}
+	if len(got) != n-1 || tr.Skipped() != 1 {
+		t.Fatalf("decoded %d frames with %d skips, want %d and 1", len(got), tr.Skipped(), n-1)
+	}
+	for f := bad + 1; f < n; f++ {
+		for k := 0; k < nRx; k++ {
+			if !int16Equal(got[f-1][k], frames[f][k]) {
+				t.Fatalf("frame %d antenna %d after the salvaged record not bit-identical", f, k)
+			}
+		}
+	}
+}
+
+// TestInt16PlanarLayout pins the version-3 record byte for byte, so
+// swapped planes or a changed byte order cannot pass as a round trip:
+// per antenna, the count, then the low bytes of the wrapping deltas,
+// then their high bytes.
+func TestInt16PlanarLayout(t *testing.T) {
+	h := testHeaderInt16(1)
+	h.SweepsPerFrame, h.SamplesPerSweep = 1, 2
+	codes := [][][]int16{{{0x1234, -2}}, {{-0x8000, 0x7FFF}}}
+	// Frame 0 deltas against zero: 0x1234, 0xFFFE. Frame 1 wraps:
+	// -0x8000-0x1234 = 0x6DCC and 0x7FFF-(-2) = 0x8001.
+	payloads := [][]byte{
+		{0, 0, 0, 0, 0, 2, 0, 0, 0, 0x34, 0xFE, 0x12, 0xFF},
+		{1, 0, 0, 0, 0, 2, 0, 0, 0, 0xCC, 0x01, 0x6D, 0x80},
+	}
+	_, body := splitTrace(t, encodeInt16(t, h, codes, nil))
+	for f, want := range payloads {
+		start, n, _ := record(t, body, f)
+		if got := body[start : start+n]; !bytes.Equal(got, want) {
+			t.Fatalf("writer's record %d is % x, want % x", f, got, want)
+		}
+	}
+	tr, err := NewReader(bytes.NewReader(buildTrace(t, versionPlanar16, h, payloads)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := readAllInt16(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(codes) {
+		t.Fatalf("decoded %d frames, want %d", len(got), len(codes))
+	}
+	for f := range codes {
+		if !int16Equal(got[f][0], codes[f][0]) {
+			t.Fatalf("frame %d decoded to %v, want %v", f, got[f][0], codes[f][0])
 		}
 	}
 }

@@ -28,6 +28,10 @@ type Reader struct {
 	done   bool
 	err    error // sticky
 
+	// undelta16 decodes an int16 antenna body in the layout of the
+	// trace's version: byte planes from version 3, interleaved before.
+	undelta16 func(dst, prev []int16, body []byte)
+
 	// Recover mode (opt-in): CRC-failed records are skipped with a
 	// count instead of failing the stream. seq is the next expected
 	// record index (== n plus the skips); lastIdx the index of the most
@@ -48,9 +52,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if [6]byte(pre[:6]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, pre[:6])
 	}
-	switch v := binary.LittleEndian.Uint16(pre[6:8]); v {
-	case versionPlain, Version:
-	default:
+	v := binary.LittleEndian.Uint16(pre[6:8])
+	if v < versionPlain || v > Version {
 		return nil, fmt.Errorf("%w: version %d (this reader handles %d through %d)", ErrVersion, v, versionPlain, Version)
 	}
 	hdrLen := binary.LittleEndian.Uint32(pre[8:12])
@@ -73,10 +76,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, err
 	}
 	tr := &Reader{
-		h:       h,
-		prev:    make([][]uint64, h.NumRx),
-		prev16:  make([][]int16, h.NumRx),
-		lastIdx: -1,
+		h:         h,
+		prev:      make([][]uint64, h.NumRx),
+		prev16:    make([][]int16, h.NumRx),
+		undelta16: undeltaInterleaved16,
+		lastIdx:   -1,
+	}
+	if v >= versionPlanar16 {
+		tr.undelta16 = undeltaPlanes16
 	}
 	if err := tr.zr.start(r); err != nil {
 		return nil, fmt.Errorf("%w: opening compressed body: %v", ErrCorrupt, err)
@@ -282,7 +289,7 @@ func (tr *Reader) ReadFrameInt16Into(dst [][]int16, tdst []motion.BodyState) ([]
 		if len(tr.prev16[k]) != n {
 			tr.prev16[k] = make([]int16, n)
 		}
-		undelta16(dst[k], tr.prev16[k], c.bytes(2*n))
+		tr.undelta16(dst[k], tr.prev16[k], c.bytes(2*n))
 	}
 	if c.bad {
 		return nil, nil, tr.fail("frame %d: record too short", tr.seq)
@@ -415,7 +422,7 @@ func (tr *Reader) salvageInt16(payload []byte) {
 			// starts from zero (the writer deltas frame 0 against zero).
 			tr.prev16[k] = make([]int16, n)
 		}
-		undelta16(tr.prev16[k], tr.prev16[k], c.bytes(2*n))
+		tr.undelta16(tr.prev16[k], tr.prev16[k], c.bytes(2*n))
 	}
 }
 
@@ -538,19 +545,29 @@ func unxor64(dst dsp.ComplexFrame, prev []uint64, body []byte) {
 	}
 }
 
-// undelta16 decodes one antenna's int16 body: body holds len(dst)
-// little-endian wrapping deltas against prev, which advances to this
-// frame's codes. Wrapping addition inverts the writer's wrapping
-// subtraction exactly. dst may be prev itself.
-func undelta16(dst, prev []int16, body []byte) {
-	prev = prev[:len(dst)]
+// undeltaInterleaved16 decodes one antenna's version-2 int16 body:
+// len(dst) little-endian wrapping deltas against prev, which advances
+// to this frame's codes. Wrapping addition inverts the writer's
+// wrapping subtraction exactly. dst may be prev itself. The caller
+// guarantees body holds 2*len(dst) bytes.
+func undeltaInterleaved16(dst, prev []int16, body []byte) {
+	prev, body = prev[:len(dst)], body[:2*len(dst)]
 	for i := range dst {
-		if len(body) < 2 {
-			return
-		}
-		v := prev[i] + int16(binary.LittleEndian.Uint16(body))
+		v := prev[i] + int16(uint16(body[2*i])|uint16(body[2*i+1])<<8)
 		prev[i] = v
 		dst[i] = v
-		body = body[2:]
+	}
+}
+
+// undeltaPlanes16 decodes one antenna's version-3 int16 body: the low
+// bytes of len(dst) wrapping deltas against prev, then their high
+// bytes. Otherwise it is undeltaInterleaved16.
+func undeltaPlanes16(dst, prev []int16, body []byte) {
+	n := len(dst)
+	prev, lo, hi := prev[:n], body[:n], body[n:][:n]
+	for i := range dst {
+		v := prev[i] + int16(uint16(lo[i])|uint16(hi[i])<<8)
+		prev[i] = v
+		dst[i] = v
 	}
 }

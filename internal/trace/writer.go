@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"witrack/internal/dsp"
 	"witrack/internal/motion"
@@ -26,6 +27,7 @@ type Writer struct {
 	prev   [][]uint64 // per antenna, previous frame's raw bits (re, im interleaved)
 	prev16 [][]int16  // per antenna, previous frame's codes (int16 traces)
 	one    [1]motion.BodyState
+	word   [4]byte // length/CRC scratch: a local array escapes per record
 	n      int
 	raw    int64
 	closed bool
@@ -48,11 +50,15 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	}
 	// Stamp the lowest version that can describe this header: plain
 	// traces stay byte-identical to version-1 output (the checked-in
-	// corpus does not churn), int16 traces get the version that added
-	// their encoding.
-	version := uint16(versionPlain)
-	if h.Sample != "" {
-		version = Version
+	// corpus does not churn), int16 traces get the version of their
+	// byte-planar record layout.
+	version, level := uint16(versionPlain), gzip.BestCompression
+	if h.Sample == SampleInt16 {
+		// An int16 body's high-byte plane is mostly 0x00 and 0xFF, on
+		// which BestCompression's 4,096-candidate hash chains stall: on
+		// a recorded default-radio trace it took 51 ms a frame against
+		// DefaultCompression's 4.2 ms, for 1.2% fewer bytes.
+		version, level = Version, gzip.DefaultCompression
 	}
 	pre := make([]byte, 0, len(Magic)+2+4+len(hdr)+4)
 	pre = append(pre, Magic[:]...)
@@ -63,7 +69,7 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	if _, err := w.Write(pre); err != nil {
 		return nil, fmt.Errorf("trace: writing header: %w", err)
 	}
-	zw, err := gzip.NewWriterLevel(w, gzip.BestCompression)
+	zw, err := gzip.NewWriterLevel(w, level)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
@@ -184,15 +190,20 @@ func (tw *Writer) WriteFrameInt16Truths(sweeps [][]int16, truths []motion.BodySt
 		b = appendBodyState(b, &truths[i])
 	}
 	for k, codes := range sweeps {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(codes)))
-		if len(tw.prev16[k]) != len(codes) {
-			tw.prev16[k] = make([]int16, len(codes))
+		n := len(codes)
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+		if len(tw.prev16[k]) != n {
+			tw.prev16[k] = make([]int16, n)
 		}
 		p := tw.prev16[k]
+		at := len(b)
+		b = slices.Grow(b, 2*n)[:at+2*n]
+		lo, hi := b[at:at+n], b[at+n:at+2*n]
 		for i, v := range codes {
 			// Wrapping int16 subtraction is exactly invertible by wrapping
 			// addition, whatever the magnitudes — no clamping, no loss.
-			b = binary.LittleEndian.AppendUint16(b, uint16(v-p[i]))
+			d := uint16(v - p[i])
+			lo[i], hi[i] = byte(d), byte(d>>8)
 			p[i] = v
 		}
 	}
@@ -207,9 +218,9 @@ func (tw *Writer) writeRecord(b []byte) error {
 		tw.err = fmt.Errorf("trace: frame record is %d bytes (max %d)", len(b), maxPayloadLen)
 		return tw.err
 	}
-	var pre [4]byte
-	binary.LittleEndian.PutUint32(pre[:], uint32(len(b)))
-	if _, err := tw.zw.Write(pre[:]); err != nil {
+	pre := tw.word[:]
+	binary.LittleEndian.PutUint32(pre, uint32(len(b)))
+	if _, err := tw.zw.Write(pre); err != nil {
 		tw.err = fmt.Errorf("trace: %w", err)
 		return tw.err
 	}
@@ -217,8 +228,8 @@ func (tw *Writer) writeRecord(b []byte) error {
 		tw.err = fmt.Errorf("trace: %w", err)
 		return tw.err
 	}
-	binary.LittleEndian.PutUint32(pre[:], crc32.ChecksumIEEE(b))
-	if _, err := tw.zw.Write(pre[:]); err != nil {
+	binary.LittleEndian.PutUint32(pre, crc32.ChecksumIEEE(b))
+	if _, err := tw.zw.Write(pre); err != nil {
 		tw.err = fmt.Errorf("trace: %w", err)
 		return tw.err
 	}

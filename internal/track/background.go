@@ -20,20 +20,25 @@ func (t *Tracker) SetBackground(bg dsp.ComplexFrame) {
 // HasBackground reports whether a calibrated background is installed.
 func (t *Tracker) HasBackground() bool { return t.background != nil }
 
-// AverageBackground builds a calibration profile from frames captured
-// while the space is empty: the static environment adds coherently while
-// receiver noise averages out.
-func AverageBackground(frames []dsp.ComplexFrame) dsp.ComplexFrame {
-	if len(frames) == 0 {
-		return nil
-	}
-	acc := make(dsp.ComplexFrame, len(frames[0]))
-	for _, f := range frames {
+// AverageBackground builds a calibration profile from n frames captured
+// while the space is empty, taken in order from next: the static
+// environment adds coherently while receiver noise averages out. It
+// holds only the running sum, so its memory is one frame whatever n is.
+func AverageBackground(n int, next func() dsp.ComplexFrame) dsp.ComplexFrame {
+	var acc dsp.ComplexFrame
+	for j := 0; j < n; j++ {
+		f := next()
+		if acc == nil {
+			acc = make(dsp.ComplexFrame, len(f))
+		}
 		for i := range acc {
 			acc[i] += f[i]
 		}
 	}
-	inv := complex(1/float64(len(frames)), 0)
+	if acc == nil {
+		return nil
+	}
+	inv := complex(1/float64(n), 0)
 	for i := range acc {
 		acc[i] *= inv
 	}
