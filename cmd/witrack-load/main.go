@@ -1,11 +1,12 @@
 // Command witrack-load soaks a witrack-svc daemon: it replays a trace
 // corpus at N concurrent sessions, round after round, until a minimum
-// duration has elapsed, then reports sessions × fps × fix-latency
-// percentiles as JSON. Every served result is checked for determinism —
-// all sessions replaying the same trace must agree bit-for-bit — and
-// with -diff the agreed results are compared against a witrack-record
-// snapshot (CORPUS.json), closing the live == replay == served parity
-// chain.
+// duration has elapsed, then reports sessions × fps (and, for paced
+// runs, fix-latency percentiles) as JSON. Every served result is
+// checked for determinism — all sessions replaying the same trace must
+// agree bit-for-bit — and with -diff the agreed results are compared
+// against a witrack-record snapshot (CORPUS.json), closing the live ==
+// replay == served parity chain. Both checks judge and print drift with
+// scenario.DiffReports.
 //
 // The JSON report keeps the deterministic part ("replay": the exact
 // ReplayReport shape witrack-replay snapshots) separate from the
@@ -20,8 +21,9 @@
 //	             [trace.wtrace...]
 //
 // With -pace each stream is spread over its recorded duration, so the
-// served lag samples measure real fix latency; unpaced runs drive the
-// daemon flat out and the percentiles measure throughput instead.
+// served lag samples measure real fix latency. Unpaced runs drive the
+// daemon flat out, ahead of the recorded frame clock, so they report
+// throughput only.
 //
 // With -sweeps the corpus gains two generated sweep-domain traces (the
 // compact scenario.SweepCell and its int16 twin, recorded in memory —
@@ -43,7 +45,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -66,16 +67,17 @@ type loadedTrace struct {
 // Timing is the wall-clock half of the load report. Nothing in here is
 // expected to be stable across runs.
 type Timing struct {
-	Sessions       int     `json:"sessions"`
-	Concurrency    int     `json:"concurrency"`
-	Rounds         int     `json:"rounds"`
-	TotalFrames    int     `json:"total_frames"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	AggregateFPS   float64 `json:"aggregate_fps"`
-	Paced          bool    `json:"paced"`
-	FixLatencyP50  float64 `json:"fix_latency_ms_p50"`
-	FixLatencyP99  float64 `json:"fix_latency_ms_p99"`
-	LatencySamples int     `json:"latency_samples"`
+	Sessions     int     `json:"sessions"`
+	Concurrency  int     `json:"concurrency"`
+	Rounds       int     `json:"rounds"`
+	TotalFrames  int     `json:"total_frames"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	AggregateFPS float64 `json:"aggregate_fps"`
+	Paced        bool    `json:"paced"`
+	// The fix-latency fields are set by paced runs only (setFixLatency).
+	FixLatencyP50  *float64 `json:"fix_latency_ms_p50,omitempty"`
+	FixLatencyP99  *float64 `json:"fix_latency_ms_p99,omitempty"`
+	LatencySamples int      `json:"latency_samples,omitempty"`
 	// IngestBytes is the total compressed trace bytes streamed into the
 	// daemon across all sessions; BytesPerFrame and IngestMBps derive
 	// the per-frame ingest cost and the aggregate ingest bandwidth —
@@ -172,14 +174,12 @@ func main() {
 			name := traces[i%len(traces)].name
 			timing.TotalFrames += res.Frames
 			timing.IngestBytes += int64(len(traces[i%len(traces)].data))
-			if w, ok := agreed[name]; ok {
-				if err := sameBits(w, res); err != nil {
-					fmt.Fprintf(os.Stderr, "witrack-load: %s served non-deterministically in round %d: %v\n", name, round, err)
-					os.Exit(1)
-				}
-			} else {
-				res.Trace = name
+			res.Trace = name
+			if w, ok := agreed[name]; !ok {
 				agreed[name] = res
+			} else if n := diffResult(os.Stderr, w, res); n > 0 {
+				fmt.Fprintf(os.Stderr, "witrack-load: %s served non-deterministically in round %d: %d difference(s)\n", name, round, n)
+				os.Exit(1)
 			}
 		}
 		for _, sum := range summaries {
@@ -193,9 +193,7 @@ func main() {
 	if timing.WallSeconds > 0 {
 		timing.AggregateFPS = float64(timing.TotalFrames) / timing.WallSeconds
 	}
-	timing.FixLatencyP50 = percentile(lagMS, 50)
-	timing.FixLatencyP99 = percentile(lagMS, 99)
-	timing.LatencySamples = len(lagMS)
+	timing.setFixLatency(lagMS)
 	if timing.TotalFrames > 0 {
 		timing.BytesPerFrame = float64(timing.IngestBytes) / float64(timing.TotalFrames)
 	}
@@ -214,9 +212,12 @@ func main() {
 		report.Replay.Traces = append(report.Replay.Traces, *agreed[name])
 	}
 
-	fmt.Printf("witrack-load: %d sessions over %d rounds in %.1fs — %d frames, %.1f fps aggregate, fix latency p50 %.1f ms / p99 %.1f ms (paced=%v)\n",
-		timing.Sessions, timing.Rounds, timing.WallSeconds, timing.TotalFrames,
-		timing.AggregateFPS, timing.FixLatencyP50, timing.FixLatencyP99, timing.Paced)
+	fmt.Printf("witrack-load: %d sessions over %d rounds in %.1fs — %d frames, %.1f fps aggregate",
+		timing.Sessions, timing.Rounds, timing.WallSeconds, timing.TotalFrames, timing.AggregateFPS)
+	if timing.FixLatencyP50 != nil {
+		fmt.Printf(", fix latency p50 %.1f ms / p99 %.1f ms", *timing.FixLatencyP50, *timing.FixLatencyP99)
+	}
+	fmt.Printf(" (paced=%v)\n", timing.Paced)
 	fmt.Printf("witrack-load: ingested %.1f MB (%.0f bytes/frame, %.2f MB/s)\n",
 		float64(timing.IngestBytes)/1e6, timing.BytesPerFrame, timing.IngestMBps)
 
@@ -368,35 +369,30 @@ func loadTrace(path string) (loadedTrace, error) {
 	}, nil
 }
 
-// sameBits compares two served results for the same trace; any
-// difference means the daemon served non-deterministically.
-func sameBits(a, b *scenario.ReplayResult) error {
-	if a.Name != b.Name || a.Device != b.Device {
-		return fmt.Errorf("identity (%s, device %d) != (%s, device %d)", a.Name, a.Device, b.Name, b.Device)
-	}
-	if a.Frames != b.Frames || a.Skips != b.Skips {
-		return fmt.Errorf("frames/skips %d/%d != %d/%d", a.Frames, a.Skips, b.Frames, b.Skips)
-	}
-	if len(a.Metrics) != len(b.Metrics) {
-		return fmt.Errorf("%d metrics != %d metrics", len(a.Metrics), len(b.Metrics))
-	}
-	for k, av := range a.Metrics {
-		bv, ok := b.Metrics[k]
-		if !ok {
-			return fmt.Errorf("metric %s missing", k)
-		}
-		if math.Float64bits(av) != math.Float64bits(bv) {
-			return fmt.Errorf("metric %s: %.17g != %.17g", k, av, bv)
-		}
-	}
-	return nil
+// diffResult prints every difference between two results for one
+// trace, as witrack-replay -diff judges a snapshot, and returns how many
+// it found. Both results must carry the trace name.
+func diffResult(w io.Writer, want, got *scenario.ReplayResult) int {
+	return scenario.DiffReports(w,
+		&scenario.ReplayReport{Traces: []scenario.ReplayResult{*want}},
+		&scenario.ReplayReport{Traces: []scenario.ReplayResult{*got}})
 }
 
-// percentile returns the nearest-rank p-th percentile; 0 on no samples.
-func percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
+// setFixLatency fills the fix-latency fields from the served lag
+// samples of a paced run. An unpaced stream runs ahead of its recorded
+// frame clock, so its lag is no latency (it reads negative): unpaced
+// runs, and runs without samples, leave the fields unset.
+func (t *Timing) setFixLatency(lagMS []float64) {
+	if !t.Paced || len(lagMS) == 0 {
+		return
 	}
+	p50, p99 := percentile(lagMS, 50), percentile(lagMS, 99)
+	t.FixLatencyP50, t.FixLatencyP99, t.LatencySamples = &p50, &p99, len(lagMS)
+}
+
+// percentile returns the nearest-rank p-th percentile of a non-empty
+// sample.
+func percentile(samples []float64, p float64) float64 {
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
 	rank := int(float64(len(sorted))*p/100+0.5) - 1

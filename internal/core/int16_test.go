@@ -47,9 +47,9 @@ func recordSweeps16Bytes(t *testing.T, cfg Config, traj motion.Trajectory) (data
 
 // TestInt16RecordReplayMatchesLive pins the quantized leg of the
 // live == recorded == replayed parity chain: the codes RecordTo writes
-// are the codes the live pipeline consumed, so
-// streaming the trace back through TraceSource and the fused
-// dequantize+window kernels must reproduce the live run bit for bit —
+// are the codes the live pipeline consumed, so streaming the trace back
+// through TraceSource and the int16 frame body (sum the codes,
+// dequantize once, one FFT) must reproduce the live run bit for bit —
 // quantization happens once, in the source, and everything downstream
 // of it is the deterministic pipeline.
 func TestInt16RecordReplayMatchesLive(t *testing.T) {

@@ -278,7 +278,7 @@ func TestStreamFromRecorded(t *testing.T) {
 			}
 			frames[k] = capDev.synth.SynthesizeComplexFrame(paths, capDev.rng)
 		}
-		if err := tw.WriteFrame(frames, &st); err != nil {
+		if err := tw.WriteFrameTruths(frames, []motion.BodyState{st}); err != nil {
 			t.Fatal(err)
 		}
 	}

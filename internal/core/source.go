@@ -48,11 +48,13 @@ type FrameBatch struct {
 	// sweeps16, when non-nil, is the quantized form of the same deferred
 	// job: ADC codes indexed [antenna][sweep], each sweep a view into the
 	// per-antenna codes16 backing buffer, dequantizing as
-	// float64(code) * scale16. Workers feed these through the fused
-	// dequantize+window kernels; when both sweeps16 and sweeps are set
-	// (a quantizing simulator keeps its float64 synthesis scratch on the
-	// batch for ring reuse) sweeps16 wins — the quantized codes are the
-	// signal the modeled receiver actually digitized.
+	// float64(code) * scale16. Workers sum each antenna's codes in
+	// int32, dequantize the sum once and run one FFT
+	// (Synthesizer.ComplexFrameFromSweepsInt16Into). When both sweeps16
+	// and sweeps are set (a quantizing simulator keeps its float64
+	// synthesis scratch on the batch for ring reuse) sweeps16 wins —
+	// the quantized codes are the signal the modeled receiver actually
+	// digitized.
 	sweeps16 [][][]int16
 	codes16  [][]int16
 	scale16  float64

@@ -45,10 +45,3 @@ func NextPow2(n int) int {
 	}
 	return 1 << uint(bits.Len(uint(n-1)))
 }
-
-// ZeroPad returns x zero-padded (or truncated) to length n.
-func ZeroPad(x []complex128, n int) []complex128 {
-	out := make([]complex128, n)
-	copy(out, x)
-	return out
-}

@@ -23,31 +23,12 @@ func LocalMaxima(f Frame, threshold float64) []Peak {
 	return peaks
 }
 
-// FirstPeakAbove returns the local maximum with the smallest bin index
-// whose power is at least threshold, i.e. the "bottom contour" point of
-// the paper's §4.3: the closest strong reflector, which is the direct
-// (shortest) path to the human once static reflectors are removed.
-// ok is false when no qualifying peak exists (e.g. the person is still
-// and background subtraction wiped the frame).
-func FirstPeakAbove(f Frame, threshold float64) (Peak, bool) {
-	peaks := LocalMaxima(f, threshold)
-	if len(peaks) == 0 {
-		return Peak{}, false
-	}
-	return peaks[0], true
-}
-
-// NeighborhoodMaxima returns bins that are the strict maximum of their
-// +-halfWin neighborhood and at least threshold, in increasing bin
-// order. Unlike LocalMaxima it ignores 1-bin noise ripples riding on the
-// flank of a wide reflection blob — those would otherwise bias the
-// bottom contour toward shorter distances.
-func NeighborhoodMaxima(f Frame, threshold float64, halfWin int) []Peak {
-	return NeighborhoodMaximaInto(f, threshold, halfWin, nil)
-}
-
-// NeighborhoodMaximaInto is NeighborhoodMaxima appending into dst[:0],
-// so per-frame callers can reuse a peak buffer across calls.
+// NeighborhoodMaximaInto appends to dst[:0] the bins that are the
+// strict maximum of their +-halfWin neighborhood and at least
+// threshold, in increasing bin order, so per-frame callers can reuse a
+// peak buffer across calls. Unlike LocalMaxima it ignores 1-bin noise
+// ripples riding on the flank of a wide reflection blob — those would
+// otherwise bias the bottom contour toward shorter distances.
 func NeighborhoodMaximaInto(f Frame, threshold float64, halfWin int, dst []Peak) []Peak {
 	peaks := dst[:0]
 	n := len(f)
@@ -135,13 +116,4 @@ func RefineParabolic(f Frame, bin int) float64 {
 		delta = -0.5
 	}
 	return float64(bin) + delta
-}
-
-// NoiseFloor estimates the noise level of a frame as the median of its
-// values — robust to a handful of strong reflector peaks.
-func NoiseFloor(f Frame) float64 {
-	if len(f) == 0 {
-		return 0
-	}
-	return Percentile(append([]float64(nil), f...), 50)
 }

@@ -28,24 +28,6 @@ func TestLocalMaximaEdgesExcluded(t *testing.T) {
 	}
 }
 
-func TestFirstPeakAboveSelectsClosest(t *testing.T) {
-	// Direct path at bin 3 is weaker than multipath ghost at bin 9; the
-	// contour rule must still select bin 3 (paper §4.3).
-	f := Frame{0, 0, 1, 6, 1, 0, 0, 1, 5, 20, 4, 0}
-	p, ok := FirstPeakAbove(f, 3)
-	if !ok || p.Bin != 3 {
-		t.Fatalf("FirstPeakAbove = %+v ok=%v, want bin 3", p, ok)
-	}
-	// Raising the threshold above the direct path falls back to the ghost.
-	p, ok = FirstPeakAbove(f, 10)
-	if !ok || p.Bin != 9 {
-		t.Fatalf("FirstPeakAbove high threshold = %+v", p)
-	}
-	if _, ok := FirstPeakAbove(f, 100); ok {
-		t.Fatal("no peak should clear threshold 100")
-	}
-}
-
 func TestStrongestPeak(t *testing.T) {
 	f := Frame{1, 2, 9, 3}
 	p, ok := StrongestPeak(f)
@@ -89,15 +71,5 @@ func TestRefineParabolicClamped(t *testing.T) {
 	got := RefineParabolic(f, 1)
 	if got < 0.5 || got > 1.5 {
 		t.Fatalf("refined bin %v escaped the half-bin clamp", got)
-	}
-}
-
-func TestNoiseFloor(t *testing.T) {
-	f := Frame{1, 1, 1, 1, 100} // one strong peak should barely move the floor
-	if nf := NoiseFloor(f); nf != 1 {
-		t.Fatalf("NoiseFloor = %v, want 1", nf)
-	}
-	if NoiseFloor(Frame{}) != 0 {
-		t.Fatal("empty frame noise floor should be 0")
 	}
 }

@@ -61,38 +61,10 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// EmpiricalCDF returns the empirical CDF of xs as sorted (value,
-// fraction) pairs; fraction is the proportion of samples <= value.
-// This renders the paper's Figs. 8 and 11.
-func EmpiricalCDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, len(sorted))
-	n := float64(len(sorted))
-	for i, v := range sorted {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / n}
-	}
-	return out
-}
-
-// MovingAverage returns the centered moving average of xs with the given
-// odd window size; edges use a shrunken window.
-func MovingAverage(xs []float64, window int) []float64 {
-	return MovingAverageInto(xs, window, nil)
-}
-
-// MovingAverageInto is MovingAverage writing into dst when it has the
-// right length (allocating otherwise), for allocation-free per-frame
-// smoothing. xs and dst must not alias.
+// MovingAverageInto returns the centered moving average of xs with the
+// given odd window size; edges use a shrunken window. It writes into
+// dst when it has the right length (allocating otherwise), for
+// allocation-free per-frame smoothing. xs and dst must not alias.
 func MovingAverageInto(xs []float64, window int, dst []float64) []float64 {
 	if window < 1 {
 		window = 1

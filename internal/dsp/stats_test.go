@@ -72,38 +72,19 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestEmpiricalCDF(t *testing.T) {
-	cdf := EmpiricalCDF([]float64{3, 1, 2})
-	if len(cdf) != 3 {
-		t.Fatalf("len = %d", len(cdf))
-	}
-	if cdf[0].Value != 1 || cdf[2].Value != 3 {
-		t.Fatalf("values not sorted: %+v", cdf)
-	}
-	if cdf[2].Fraction != 1 {
-		t.Fatalf("last fraction = %v, want 1", cdf[2].Fraction)
-	}
-	if math.Abs(cdf[0].Fraction-1.0/3) > 1e-12 {
-		t.Fatalf("first fraction = %v", cdf[0].Fraction)
-	}
-	if EmpiricalCDF(nil) != nil {
-		t.Fatal("empty input should return nil")
-	}
-}
-
 func TestMovingAverage(t *testing.T) {
 	xs := []float64{1, 1, 10, 1, 1}
-	sm := MovingAverage(xs, 3)
+	sm := MovingAverageInto(xs, 3, nil)
 	if sm[2] != 4 {
 		t.Fatalf("center = %v, want (1+10+1)/3", sm[2])
 	}
 	if sm[0] != 1 { // shrunken edge window: (1+1)/2
 		t.Fatalf("edge = %v", sm[0])
 	}
-	if got := MovingAverage(xs, 1); !equalSlices(got, xs) {
+	if got := MovingAverageInto(xs, 1, nil); !equalSlices(got, xs) {
 		t.Fatalf("window 1 should be identity: %v", got)
 	}
-	if got := MovingAverage(xs, 0); !equalSlices(got, xs) {
+	if got := MovingAverageInto(xs, 0, nil); !equalSlices(got, xs) {
 		t.Fatalf("window 0 should clamp to identity: %v", got)
 	}
 }

@@ -17,25 +17,3 @@ func Hann(n int) []float64 {
 	}
 	return w
 }
-
-// Rect returns an n-point rectangular (all-ones) window.
-func Rect(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
-// CoherentGain returns the DC gain of a window (mean of its samples);
-// dividing a windowed spectrum by this restores amplitude calibration.
-func CoherentGain(w []float64) float64 {
-	if len(w) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, v := range w {
-		sum += v
-	}
-	return sum / float64(len(w))
-}

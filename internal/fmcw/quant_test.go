@@ -32,9 +32,9 @@ func quantTestSetup(t *testing.T, bits int, seed int64) (*Synthesizer, *Quantize
 }
 
 // TestInt16SweepPathWithinBound is the quantization oracle at the frame
-// level: a frame computed from quantized sweeps through the fused
-// kernels must land within QuantErrorBound of the frame computed from
-// the original float64 sweeps — per-bin absolute error, the quantity
+// level: a frame computed from quantized sweeps through the int16 frame
+// body must land within QuantErrorBound of the frame computed from the
+// original float64 sweeps — per-bin absolute error, the quantity
 // the bound states — with zero clipped samples and a nonzero measured
 // error (the oracle must be measuring a genuinely lossy path).
 func TestInt16SweepPathWithinBound(t *testing.T) {
@@ -150,8 +150,8 @@ func TestADCBitsValidation(t *testing.T) {
 	}
 }
 
-// TestInt16ScratchAllocFree extends the arena contract to the fused
-// int16 entry point: a warm scratch processes quantized frames with
+// TestInt16ScratchAllocFree extends the arena contract to the int16
+// entry point: a warm scratch processes quantized frames with
 // zero heap allocations.
 func TestInt16ScratchAllocFree(t *testing.T) {
 	s, q, _, quant := quantTestSetup(t, 14, 104)

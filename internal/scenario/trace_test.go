@@ -307,18 +307,14 @@ func TestReplayRejectsTamperedProvenance(t *testing.T) {
 				t.Fatal(err)
 			}
 			for {
-				frames, truth, hasTruth, err := tr.ReadFrame()
+				frames, truths, err := tr.ReadFrameTruthsInto(nil, nil)
 				if err != nil {
 					break
 				}
 				if tamper.frames != nil {
 					tamper.frames(frames)
 				}
-				var tp = &truth
-				if !hasTruth {
-					tp = nil
-				}
-				if err := tw.WriteFrame(frames, tp); err != nil {
+				if err := tw.WriteFrameTruths(frames, truths); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -48,8 +48,6 @@ type Config struct {
 	// stream delivers no frame for this long fails with a stall error.
 	// 0 = 10s. Negative disables the watchdog.
 	FrameDeadline time.Duration
-	// ArenaCapacity sizes the shared decoded-frame arena. 0 = default.
-	ArenaCapacity int
 }
 
 func (c Config) withDefaults() Config {
@@ -126,7 +124,7 @@ func NewServer(cfg Config) *Server {
 	return &Server{
 		cfg:      cfg,
 		pool:     core.NewWorkerPool(cfg.PoolSize),
-		arena:    core.NewFrameArena(cfg.ArenaCapacity),
+		arena:    core.NewFrameArena(0),
 		sessions: make(map[string]*Session),
 	}
 }

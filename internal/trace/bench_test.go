@@ -71,7 +71,7 @@ func BenchmarkWriteFrameInt16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tw.WriteFrameInt16(frames[i%len(frames)], nil); err != nil {
+		if err := tw.WriteFrameInt16Truths(frames[i%len(frames)], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func BenchmarkReadFrameInt16(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, f := range radioCodes(h, benchFrames) {
-		if err := tw.WriteFrameInt16(f, nil); err != nil {
+		if err := tw.WriteFrameInt16Truths(f, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // antenna count, bin counts, truth flags, and every complex bit pattern
 // (including NaNs, infinities, and denormals) come straight from data,
 // so the round-trip property is exercised over arbitrary payloads.
-func fuzzFrames(data []byte) (nRx int, frames [][]dsp.ComplexFrame, truths []*motion.BodyState) {
+func fuzzFrames(data []byte) (nRx int, frames [][]dsp.ComplexFrame, truths [][]motion.BodyState) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -47,12 +47,12 @@ func fuzzFrames(data []byte) (nRx int, frames [][]dsp.ComplexFrame, truths []*mo
 		}
 		frames = append(frames, fr)
 		if next()%2 == 0 {
-			truths = append(truths, &motion.BodyState{
+			truths = append(truths, []motion.BodyState{{
 				Center:     geom.Vec3{X: next64(), Y: next64(), Z: next64()},
 				Moving:     next()%2 == 0,
 				HandActive: next()%2 == 0,
 				Hand:       geom.Vec3{X: next64(), Y: next64(), Z: next64()},
-			})
+			}})
 		} else {
 			truths = append(truths, nil)
 		}
@@ -106,7 +106,7 @@ func drainTrace(data []byte) error {
 	var dst []dsp.ComplexFrame
 	for {
 		var err error
-		if dst, _, _, err = tr.ReadFrameInto(dst); err != nil {
+		if dst, _, err = tr.ReadFrameTruthsInto(dst, nil); err != nil {
 			return err
 		}
 	}
@@ -127,10 +127,10 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	}
 	fr := []dsp.ComplexFrame{{complex(1, 2), complex(3, 4)}, {complex(5, 6)}}
 	truth := motion.BodyState{Center: geom.Vec3{X: 1, Y: 2, Z: 3}, Moving: true}
-	if err := tw.WriteFrame(fr, &truth); err != nil {
+	if err := tw.WriteFrameTruths(fr, []motion.BodyState{truth}); err != nil {
 		f.Fatal(err)
 	}
-	if err := tw.WriteFrame(fr, nil); err != nil {
+	if err := tw.WriteFrameTruths(fr, nil); err != nil {
 		f.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -159,7 +159,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := range frames {
-			if err := tw.WriteFrame(frames[i], truths[i]); err != nil {
+			if err := tw.WriteFrameTruths(frames[i], truths[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -173,17 +173,16 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatalf("decoding just-encoded trace: %v", err)
 		}
 		var dst []dsp.ComplexFrame
+		var tdst []motion.BodyState
 		for i := range frames {
-			var truth motion.BodyState
-			var hasTruth bool
-			dst, truth, hasTruth, err = tr.ReadFrameInto(dst)
+			dst, tdst, err = tr.ReadFrameTruthsInto(dst, tdst[:0])
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}
-			if hasTruth != (truths[i] != nil) {
-				t.Fatalf("frame %d: truth flag diverged", i)
+			if (tdst != nil) != (truths[i] != nil) || len(tdst) != len(truths[i]) {
+				t.Fatalf("frame %d: %d truths, want %d", i, len(tdst), len(truths[i]))
 			}
-			if hasTruth && !bodyStateBitsEqual(truth, *truths[i]) {
+			if tdst != nil && !bodyStateBitsEqual(tdst[0], truths[i][0]) {
 				t.Fatalf("frame %d: truth not bit-identical", i)
 			}
 			for k := 0; k < nRx; k++ {
@@ -192,7 +191,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		if _, _, _, err := tr.ReadFrameInto(dst); err != io.EOF {
+		if _, _, err := tr.ReadFrameTruthsInto(dst, nil); err != io.EOF {
 			t.Fatalf("want io.EOF after round trip, got %v", err)
 		}
 
@@ -220,7 +219,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := range codes {
-			if err := tw16.WriteFrameInt16(codes[i], nil); err != nil {
+			if err := tw16.WriteFrameInt16Truths(codes[i], nil); err != nil {
 				t.Fatal(err)
 			}
 		}

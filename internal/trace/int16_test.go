@@ -69,11 +69,7 @@ func encodeInt16(t *testing.T, h Header, frames [][][]int16, truths []motion.Bod
 		t.Fatal(err)
 	}
 	for f := range frames {
-		var truth *motion.BodyState
-		if truths != nil {
-			truth = &truths[f]
-		}
-		if err := tw.WriteFrameInt16(frames[f], truth); err != nil {
+		if err := tw.WriteFrameInt16Truths(frames[f], truthOf(truths, f)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,8 +216,8 @@ func TestInt16RoundTripLossless(t *testing.T) {
 	if _, _, err := tr.ReadFrameInt16Into(dst, nil); err != io.EOF {
 		t.Fatalf("want io.EOF after last frame, got %v", err)
 	}
-	if tr.FramesRead() != n {
-		t.Fatalf("FramesRead %d != %d", tr.FramesRead(), n)
+	if tr.FrameIndex() != n-1 {
+		t.Fatalf("FrameIndex %d after the last frame, want %d", tr.FrameIndex(), n-1)
 	}
 }
 
@@ -234,17 +230,17 @@ func TestInt16EncodingGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.WriteFrame(make([]dsp.ComplexFrame, 2), nil); err == nil {
-		t.Fatal("WriteFrame on an int16 trace must error")
+	if err := tw.WriteFrameTruths(make([]dsp.ComplexFrame, 2), nil); err == nil {
+		t.Fatal("WriteFrameTruths on an int16 trace must error")
 	}
 	tw2, err := NewWriter(&bytes.Buffer{}, testHeader(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw2.WriteFrameInt16(make([][]int16, 2), nil); err == nil {
-		t.Fatal("WriteFrameInt16 on a plain trace must error")
+	if err := tw2.WriteFrameInt16Truths(make([][]int16, 2), nil); err == nil {
+		t.Fatal("WriteFrameInt16Truths on a plain trace must error")
 	}
-	if err := tw.WriteFrameInt16(make([][]int16, 1), nil); err == nil {
+	if err := tw.WriteFrameInt16Truths(make([][]int16, 1), nil); err == nil {
 		t.Fatal("antenna-count mismatch must error")
 	}
 
@@ -318,7 +314,7 @@ func TestInt16DeltaCompresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for f := range frames {
-		if err := tw.WriteFrameInt16(frames[f], &truths[f]); err != nil {
+		if err := tw.WriteFrameInt16Truths(frames[f], truths[f:f+1]); err != nil {
 			t.Fatal(err)
 		}
 	}

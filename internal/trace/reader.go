@@ -22,9 +22,7 @@ type Reader struct {
 	buf    []byte
 	prev   [][]uint64
 	prev16 [][]int16
-	tbuf   []motion.BodyState // ReadFrameInto's reusable truth scratch
-	word   [12]byte           // length/CRC/trailer scratch
-	n      int
+	word   [12]byte // length/CRC/trailer scratch
 	done   bool
 	err    error // sticky
 
@@ -34,12 +32,14 @@ type Reader struct {
 
 	// Recover mode (opt-in): CRC-failed records are skipped with a
 	// count instead of failing the stream. seq is the next expected
-	// record index (== n plus the skips); lastIdx the index of the most
-	// recently delivered frame.
+	// record index (delivered frames plus skips); lastIdx the index of
+	// the most recently delivered frame. junk receives the frames of
+	// skipped complex records; it is allocated on the first one.
 	rec     bool
 	skipped int
 	seq     int
 	lastIdx int
+	junk    []dsp.ComplexFrame
 }
 
 // NewReader parses the container preamble and prepares the compressed
@@ -94,12 +94,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 // SetRecover switches the reader into (or out of) recover mode: a
 // record whose payload fails its CRC no longer kills the stream — it is
 // withheld from the caller and counted in Skipped, and reading resyncs
-// at the next record. The damaged payload is still structurally parsed
-// when possible so the XOR-delta chain stays aligned (each record is a
-// delta against its predecessor; silently dropping one would corrupt
-// every later frame). Framing damage — a broken length field, a missing
-// trailer, a trailer/stream mismatch — remains a hard error in either
-// mode: past it there is no record boundary to resync to.
+// at the next record. The damaged record still runs through the same
+// decoder as an intact one, so the delta chain advances past it (each
+// record is a delta against its predecessor; silently dropping one
+// would corrupt every later frame): when only the stored CRC was hit
+// the chain stays exact, and damage inside the samples stays confined
+// to the flipped samples. Framing damage — a broken length field, a
+// missing trailer, a trailer/stream mismatch — remains a hard error in
+// either mode: past it there is no record boundary to resync to.
 //
 // Recover mode is for salvaging damaged captures; pair it with
 // downstream health monitoring (core's MonitorHealth), since a record
@@ -111,117 +113,28 @@ func (tr *Reader) SetRecover(on bool) { tr.rec = on }
 func (tr *Reader) Skipped() int { return tr.skipped }
 
 // FrameIndex returns the record index of the most recently delivered
-// frame (-1 before the first). Without skips it is FramesRead()-1; in
-// recover mode it advances past skipped records, exposing the gaps.
+// frame (-1 before the first). Without skips it counts delivered frames
+// from 0; in recover mode it advances past skipped records, exposing
+// the gaps.
 func (tr *Reader) FrameIndex() int { return tr.lastIdx }
 
 // Header returns the trace metadata.
 func (tr *Reader) Header() Header { return tr.h }
 
-// FramesRead returns how many frames have been decoded so far.
-func (tr *Reader) FramesRead() int { return tr.n }
-
-// ReadFrame decodes the next frame into freshly allocated buffers.
-// It returns io.EOF after the last frame (the trailer has then been
-// verified), or an error wrapping ErrCorrupt on any damage.
-func (tr *Reader) ReadFrame() ([]dsp.ComplexFrame, motion.BodyState, bool, error) {
-	return tr.ReadFrameInto(nil)
-}
-
-// ReadFrameInto is ReadFrame decoding into dst, reusing its per-antenna
-// slices when they have the right length (resizing them otherwise), so
-// a streaming replay loop allocates nothing once warm. It returns the
-// frame slice (which is dst when dst had the right shape), the first
-// ground-truth state, and whether the frame carried one. Multi-person
-// traces surface only subject 0 here; use ReadFrameTruthsInto for the
-// full truth set.
-func (tr *Reader) ReadFrameInto(dst []dsp.ComplexFrame) ([]dsp.ComplexFrame, motion.BodyState, bool, error) {
-	frames, truths, err := tr.ReadFrameTruthsInto(dst, tr.tbuf[:0])
-	if truths != nil {
-		tr.tbuf = truths // keep the decoded buffer for the next frame
-	}
-	if err != nil || len(truths) == 0 {
-		return frames, motion.BodyState{}, false, err
-	}
-	return frames, truths[0], true, nil
-}
-
-// ReadFrameTruthsInto decodes the next frame with every ground-truth
-// BodyState it carries (one per tracked subject, in subject order; nil
-// for truthless frames), decoding frames into dst and truths into
-// tdst, both reused when correctly sized. It returns io.EOF after the
-// last frame, or an error wrapping ErrCorrupt on any damage.
+// ReadFrameTruthsInto decodes the next frame of a range-bin or float64
+// sweep trace with every ground-truth BodyState it carries (one per
+// tracked subject, in subject order; nil for truthless frames),
+// decoding frames into dst and truths into tdst, both reused when
+// correctly sized, so a warm replay loop allocates nothing. It returns
+// io.EOF after the last frame (the trailer has then been verified), or
+// an error wrapping ErrCorrupt on any damage.
 func (tr *Reader) ReadFrameTruthsInto(dst []dsp.ComplexFrame, tdst []motion.BodyState) ([]dsp.ComplexFrame, []motion.BodyState, error) {
-	if tr.err != nil {
-		return nil, nil, tr.err
-	}
-	if tr.done {
-		return nil, nil, io.EOF
-	}
-	if tr.h.Sample == SampleInt16 {
-		return nil, nil, tr.fail("complex-frame read on a %s-sample trace (use ReadFrameInt16Into)", SampleInt16)
-	}
-
-	payload, err := tr.nextRecord()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	c := cursor{b: payload}
-	idx := c.u32()
-	if int(idx) != tr.seq {
-		if c.bad {
-			return nil, nil, tr.fail("frame record too short")
-		}
-		return nil, nil, tr.fail("frame index %d out of sequence (want %d)", idx, tr.seq)
-	}
-	count := int(c.u8())
-	if c.bad {
-		return nil, nil, tr.fail("frame record too short")
-	}
-	if count > MaxTruths {
-		return nil, nil, tr.fail("frame %d: truth count %d exceeds limit %d", tr.seq, count, MaxTruths)
-	}
-	truths := tdst[:0]
-	for i := 0; i < count; i++ {
-		s := c.bodyState()
-		if c.bad {
-			return nil, nil, tr.fail("frame %d: record too short for %d truth states", tr.seq, count)
-		}
-		truths = append(truths, s)
-	}
-
 	if len(dst) != tr.h.NumRx {
 		dst = make([]dsp.ComplexFrame, tr.h.NumRx)
 	}
-	for k := 0; k < tr.h.NumRx; k++ {
-		// Bound-check in uint64 before converting: a corrupt 2^31..2^32
-		// bin count must not go negative (and panic in make) on 32-bit
-		// platforms, nor overflow the 16*bins product.
-		bins32 := c.u32()
-		if c.bad || uint64(bins32)*16 > uint64(c.rem()) {
-			return nil, nil, tr.fail("frame %d antenna %d: record too short for %d bins", tr.seq, k, bins32)
-		}
-		bins := int(bins32)
-		if len(dst[k]) != bins {
-			dst[k] = make(dsp.ComplexFrame, bins)
-		}
-		if len(tr.prev[k]) != 2*bins {
-			tr.prev[k] = make([]uint64, 2*bins)
-		}
-		unxor64(dst[k], tr.prev[k], c.bytes(16*bins))
-	}
-	if c.bad {
-		return nil, nil, tr.fail("frame %d: record too short", tr.seq)
-	}
-	if c.rem() != 0 {
-		return nil, nil, tr.fail("frame %d: %d trailing bytes in record", tr.seq, c.rem())
-	}
-	tr.lastIdx = int(idx)
-	tr.n++
-	tr.seq++
-	if count == 0 {
-		truths = nil
+	truths, err := tr.read(dst, nil, tdst)
+	if err != nil {
+		return nil, nil, err
 	}
 	return dst, truths, nil
 }
@@ -233,197 +146,167 @@ func (tr *Reader) ReadFrameTruthsInto(dst []dsp.ComplexFrame, tdst []motion.Body
 // decode into tdst exactly as in ReadFrameTruthsInto. It returns io.EOF
 // after the last frame, or an error wrapping ErrCorrupt on any damage.
 func (tr *Reader) ReadFrameInt16Into(dst [][]int16, tdst []motion.BodyState) ([][]int16, []motion.BodyState, error) {
-	if tr.err != nil {
-		return nil, nil, tr.err
+	if len(dst) != tr.h.NumRx {
+		dst = make([][]int16, tr.h.NumRx)
 	}
-	if tr.done {
-		return nil, nil, io.EOF
-	}
-	if tr.h.Sample != SampleInt16 {
-		return nil, nil, tr.fail("int16 read on a %q-sample trace", tr.h.Sample)
-	}
-
-	payload, err := tr.nextRecord()
+	truths, err := tr.read(nil, dst, tdst)
 	if err != nil {
 		return nil, nil, err
 	}
+	return dst, truths, nil
+}
 
+// read is the read loop behind both typed reads. Exactly one of bins
+// and codes is non-nil, holding NumRx slices; it names the encoding
+// the caller expects. The loop owns the sticky error, io.EOF after the
+// trailer, the encoding check, recover mode's skips, and the index
+// sequence of intact records.
+func (tr *Reader) read(bins []dsp.ComplexFrame, codes [][]int16, tdst []motion.BodyState) ([]motion.BodyState, error) {
+	switch int16Trace := tr.h.Sample == SampleInt16; {
+	case tr.err != nil:
+		return nil, tr.err
+	case tr.done:
+		return nil, io.EOF
+	case codes != nil && !int16Trace:
+		return nil, tr.fail("int16 read on a %q-sample trace", tr.h.Sample)
+	case codes == nil && int16Trace:
+		return nil, tr.fail("complex-frame read on a %s-sample trace (use ReadFrameInt16Into)", SampleInt16)
+	}
+	for {
+		payload, intact, err := tr.nextRecord()
+		if err != nil {
+			return nil, err
+		}
+		if !intact {
+			// Recover mode: decode the damaged record into the delta
+			// chain, ignoring its index and any error, and resync at the
+			// next record. An int16 body decodes in place into the chain.
+			if codes != nil {
+				tr.decode(payload, nil, tr.prev16, tdst)
+			} else {
+				if tr.junk == nil {
+					tr.junk = make([]dsp.ComplexFrame, tr.h.NumRx)
+				}
+				tr.decode(payload, tr.junk, nil, tdst)
+			}
+			tr.skipped++
+			tr.seq++
+			continue
+		}
+		idx, truths, err := tr.decode(payload, bins, codes, tdst)
+		if err != nil {
+			tr.err = err
+			return nil, err
+		}
+		if int(idx) != tr.seq {
+			return nil, tr.fail("frame index %d out of sequence (want %d)", idx, tr.seq)
+		}
+		tr.lastIdx = tr.seq
+		tr.seq++
+		return truths, nil
+	}
+}
+
+// decode parses one record payload: its index, its truths into tdst,
+// then per antenna the sample count, its bound and its body, then the
+// trailing-bytes check. Each body advances its antenna's delta chain
+// and lands in bins (XOR-delta complex samples: range bins or float64
+// sweeps) or codes (wrapping int16 deltas), whichever is non-nil; its
+// slices are resized to the record's counts. A count change restarts
+// the antenna's chain slot from zero, as the writer does. Errors are
+// returned, not made sticky: recover mode ignores a damaged record's.
+func (tr *Reader) decode(payload []byte, bins []dsp.ComplexFrame, codes [][]int16, tdst []motion.BodyState) (uint32, []motion.BodyState, error) {
 	c := cursor{b: payload}
 	idx := c.u32()
-	if int(idx) != tr.seq {
-		if c.bad {
-			return nil, nil, tr.fail("frame record too short")
-		}
-		return nil, nil, tr.fail("frame index %d out of sequence (want %d)", idx, tr.seq)
-	}
 	count := int(c.u8())
 	if c.bad {
-		return nil, nil, tr.fail("frame record too short")
+		return 0, nil, corrupt("frame record too short")
 	}
 	if count > MaxTruths {
-		return nil, nil, tr.fail("frame %d: truth count %d exceeds limit %d", tr.seq, count, MaxTruths)
+		return 0, nil, corrupt("frame %d: truth count %d exceeds limit %d", tr.seq, count, MaxTruths)
 	}
 	truths := tdst[:0]
 	for i := 0; i < count; i++ {
 		s := c.bodyState()
 		if c.bad {
-			return nil, nil, tr.fail("frame %d: record too short for %d truth states", tr.seq, count)
+			return 0, nil, corrupt("frame %d: record too short for %d truth states", tr.seq, count)
 		}
 		truths = append(truths, s)
 	}
-
-	if len(dst) != tr.h.NumRx {
-		dst = make([][]int16, tr.h.NumRx)
+	width := uint64(16) // bytes per sample: a (re, im) pair of float64 bits
+	if codes != nil {
+		width = 2
 	}
 	for k := 0; k < tr.h.NumRx; k++ {
-		// Same uint64 bound discipline as the float64 path: a corrupt
-		// count must fail cleanly, not allocate gigabytes or go negative.
+		// Bound-check in uint64 before converting: a corrupt 2^31..2^32
+		// count must not go negative (and panic in make) on 32-bit
+		// platforms, nor overflow the count × width product.
 		n32 := c.u32()
-		if c.bad || uint64(n32)*2 > uint64(c.rem()) {
-			return nil, nil, tr.fail("frame %d antenna %d: record too short for %d samples", tr.seq, k, n32)
+		if c.bad || uint64(n32)*width > uint64(c.rem()) {
+			return 0, nil, corrupt("frame %d antenna %d: record too short for %d samples", tr.seq, k, n32)
 		}
 		n := int(n32)
-		if len(dst[k]) != n {
-			dst[k] = make([]int16, n)
+		body := c.bytes(int(width) * n)
+		if codes != nil {
+			if len(codes[k]) != n {
+				codes[k] = make([]int16, n)
+			}
+			if len(tr.prev16[k]) != n {
+				tr.prev16[k] = make([]int16, n)
+			}
+			tr.undelta16(codes[k], tr.prev16[k], body)
+			continue
 		}
-		if len(tr.prev16[k]) != n {
-			tr.prev16[k] = make([]int16, n)
+		if len(bins[k]) != n {
+			bins[k] = make(dsp.ComplexFrame, n)
 		}
-		tr.undelta16(dst[k], tr.prev16[k], c.bytes(2*n))
-	}
-	if c.bad {
-		return nil, nil, tr.fail("frame %d: record too short", tr.seq)
+		if len(tr.prev[k]) != 2*n {
+			tr.prev[k] = make([]uint64, 2*n)
+		}
+		unxor64(bins[k], tr.prev[k], body)
 	}
 	if c.rem() != 0 {
-		return nil, nil, tr.fail("frame %d: %d trailing bytes in record", tr.seq, c.rem())
+		return 0, nil, corrupt("frame %d: %d trailing bytes in record", tr.seq, c.rem())
 	}
-	tr.lastIdx = int(idx)
-	tr.n++
-	tr.seq++
 	if count == 0 {
 		truths = nil
 	}
-	return dst, truths, nil
+	return idx, truths, nil
 }
 
 // nextRecord reads the next framed record from the gzip stream: length
 // prefix, payload (into the reader's reusable buffer), payload CRC. It
-// handles the trailer (returning io.EOF via finish) and recover mode
-// (salvaging CRC-failed records and resyncing on the next one).
-func (tr *Reader) nextRecord() ([]byte, error) {
+// reports whether the CRC matched; a mismatch fails the stream unless
+// recover mode is on. At the trailer it returns finish's io.EOF.
+func (tr *Reader) nextRecord() (payload []byte, intact bool, err error) {
 	pre := tr.word[:4]
-	for {
-		if _, err := io.ReadFull(&tr.zr, pre); err != nil {
-			return nil, tr.fail("stream ended before trailer: %v", err)
-		}
-		plen := binary.LittleEndian.Uint32(pre)
-		if plen == trailerSentinel {
-			return nil, tr.finish()
-		}
-		if plen > maxPayloadLen {
-			return nil, tr.fail("frame record length %d exceeds limit", plen)
-		}
-		if cap(tr.buf) < int(plen) {
-			tr.buf = make([]byte, plen)
-		}
-		payload := tr.buf[:plen]
-		if _, err := io.ReadFull(&tr.zr, payload); err != nil {
-			return nil, tr.fail("truncated frame record: %v", err)
-		}
-		if _, err := io.ReadFull(&tr.zr, pre); err != nil {
-			return nil, tr.fail("truncated frame CRC: %v", err)
-		}
-		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(pre); got != want {
-			if tr.rec {
-				// Recover mode: advance the delta chain through the
-				// damaged record when its structure still parses, count
-				// the skip, and resync at the next record.
-				if tr.h.Sample == SampleInt16 {
-					tr.salvageInt16(payload)
-				} else {
-					tr.salvage(payload)
-				}
-				tr.skipped++
-				tr.seq++
-				continue
-			}
-			return nil, tr.fail("frame %d CRC %#08x != stored %#08x", tr.seq, got, want)
-		}
-		return payload, nil
+	if _, err := io.ReadFull(&tr.zr, pre); err != nil {
+		return nil, false, tr.fail("stream ended before trailer: %v", err)
 	}
-}
-
-// salvage best-effort advances the XOR-delta chain through a CRC-failed
-// record: every frame is stored as a delta against its predecessor, so
-// a skipped record whose deltas were not applied would corrupt every
-// later frame wherever consecutive frames differ. Applying the damaged
-// delta instead confines the downstream error to exactly the flipped
-// bits — and when the flip landed in the stored CRC rather than the
-// payload, the chain resyncs bit-exactly. Structural damage (the layout
-// itself no longer parses) leaves the chain stale mid-record; that is
-// what downstream health monitoring is for.
-func (tr *Reader) salvage(payload []byte) {
-	c := cursor{b: payload}
-	c.u32() // index
-	count := int(c.u8())
-	if c.bad || count > MaxTruths {
-		return
+	plen := binary.LittleEndian.Uint32(pre)
+	if plen == trailerSentinel {
+		return nil, false, tr.finish()
 	}
-	for i := 0; i < count; i++ {
-		c.bodyState()
-		if c.bad {
-			return
-		}
+	if plen > maxPayloadLen {
+		return nil, false, tr.fail("frame record length %d exceeds limit", plen)
 	}
-	for k := 0; k < tr.h.NumRx; k++ {
-		bins32 := c.u32()
-		if c.bad || uint64(bins32)*16 > uint64(c.rem()) {
-			return
-		}
-		bins := int(bins32)
-		if len(tr.prev[k]) != 2*bins {
-			// First-ever record, or a bin-count change: the chain slot
-			// starts from zero (the writer XORs frame 0 against zero).
-			tr.prev[k] = make([]uint64, 2*bins)
-		}
-		p := tr.prev[k]
-		for i := 0; i < bins; i++ {
-			p[2*i] ^= c.u64()
-			p[2*i+1] ^= c.u64()
-		}
+	if cap(tr.buf) < int(plen) {
+		tr.buf = make([]byte, plen)
 	}
-}
-
-// salvageInt16 is salvage for the int16 delta chain: the wrapping
-// deltas of a CRC-failed record are applied to prev16 so later frames
-// decode against the right predecessor, confining the damage to the
-// flipped samples themselves.
-func (tr *Reader) salvageInt16(payload []byte) {
-	c := cursor{b: payload}
-	c.u32() // index
-	count := int(c.u8())
-	if c.bad || count > MaxTruths {
-		return
+	payload = tr.buf[:plen]
+	if _, err := io.ReadFull(&tr.zr, payload); err != nil {
+		return nil, false, tr.fail("truncated frame record: %v", err)
 	}
-	for i := 0; i < count; i++ {
-		c.bodyState()
-		if c.bad {
-			return
-		}
+	if _, err := io.ReadFull(&tr.zr, pre); err != nil {
+		return nil, false, tr.fail("truncated frame CRC: %v", err)
 	}
-	for k := 0; k < tr.h.NumRx; k++ {
-		n32 := c.u32()
-		if c.bad || uint64(n32)*2 > uint64(c.rem()) {
-			return
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(pre); got != want {
+		if !tr.rec {
+			return nil, false, tr.fail("frame %d CRC %#08x != stored %#08x", tr.seq, got, want)
 		}
-		n := int(n32)
-		if len(tr.prev16[k]) != n {
-			// First-ever record, or a sample-count change: the chain slot
-			// starts from zero (the writer deltas frame 0 against zero).
-			tr.prev16[k] = make([]int16, n)
-		}
-		tr.undelta16(tr.prev16[k], tr.prev16[k], c.bytes(2*n))
+		return payload, false, nil
 	}
+	return payload, true, nil
 }
 
 // finish verifies the trailer and the compressed stream's own footer,
@@ -437,7 +320,7 @@ func (tr *Reader) finish() error {
 		return tr.fail("trailer CRC %#08x != stored %#08x", got, want)
 	}
 	// The trailer counts written records; in recover mode skipped ones
-	// were still consumed, so compare against seq (== n when no skips).
+	// were still consumed, so compare against seq, which counts both.
 	if count := binary.LittleEndian.Uint64(t[:8]); count != uint64(tr.seq) {
 		return tr.fail("trailer says %d frames, decoded %d", count, tr.seq)
 	}
@@ -458,8 +341,13 @@ func (tr *Reader) finish() error {
 // fail records and returns a corruption error; every later read returns
 // the same error.
 func (tr *Reader) fail(format string, args ...any) error {
-	tr.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+	tr.err = corrupt(format, args...)
 	return tr.err
+}
+
+// corrupt returns an error wrapping ErrCorrupt.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
 // cursor decodes a frame payload with explicit bounds checks: any

@@ -86,70 +86,122 @@ func readAll(tr *Reader) (frames [][]dsp.ComplexFrame, err error) {
 	}
 }
 
-// TestRecoverSkipsCRCDamagedRecord pins the clean salvage path: a flip
-// in a record's *stored CRC* leaves its payload (and so the XOR-delta
-// chain) intact, so recover mode withholds exactly that frame and every
-// surviving frame reads back bit-identical, with the index gap visible.
-func TestRecoverSkipsCRCDamagedRecord(t *testing.T) {
-	const nRx, bins, n, bad = 3, 21, 10, 4
-	frames, truths := testFrames(nRx, bins, n, 11)
-	pre, body := splitTrace(t, encode(t, testHeader(nRx), frames, truths))
-	_, _, crcAt := record(t, body, bad)
-	body[crcAt] ^= 0x01
-	data := joinTrace(t, pre, body)
-
-	// Without recover mode the damage is fatal at the damaged record.
+// drainBits decodes data to its end, in recover mode when rec is set,
+// whatever its sample encoding. It returns each delivered frame as its
+// bytes (per antenna the sample count and the samples' bit patterns,
+// then the truths) with its FrameIndex, the skip count, and the error
+// that ended the stream (nil at a clean io.EOF).
+func drainBits(t *testing.T, data []byte, rec bool) (frames [][]byte, idx []int, skipped int, err error) {
+	t.Helper()
 	tr, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readAll(tr)
-	if err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("strict mode: want ErrCorrupt, got %v", err)
-	}
-	if len(got) != bad {
-		t.Fatalf("strict mode decoded %d frames before failing, want %d", len(got), bad)
-	}
-
-	// Recover mode resyncs past it.
-	tr, err = NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.SetRecover(true)
-	var surviving [][]dsp.ComplexFrame
-	wantIdx := []int{}
-	for f := 0; f < n; f++ {
-		if f == bad {
-			continue
-		}
-		surviving = append(surviving, frames[f])
-		wantIdx = append(wantIdx, f)
-	}
-	var dst []dsp.ComplexFrame
-	for i, want := range surviving {
-		var err error
-		dst, _, err = tr.ReadFrameTruthsInto(dst, nil)
-		if err != nil {
-			t.Fatalf("surviving frame %d: %v", i, err)
-		}
-		if tr.FrameIndex() != wantIdx[i] {
-			t.Fatalf("surviving frame %d: FrameIndex %d, want %d", i, tr.FrameIndex(), wantIdx[i])
-		}
-		for k := 0; k < nRx; k++ {
-			if !bitsEqual(dst[k], want[k]) {
-				t.Fatalf("surviving frame %d antenna %d not bit-identical", i, k)
+	tr.SetRecover(rec)
+	var (
+		bins   []dsp.ComplexFrame
+		codes  [][]int16
+		truths []motion.BodyState
+	)
+	for {
+		var b []byte
+		if tr.Header().Sample == SampleInt16 {
+			codes, truths, err = tr.ReadFrameInt16Into(codes, truths[:0])
+			for _, a := range codes {
+				b = binary.LittleEndian.AppendUint32(b, uint32(len(a)))
+				for _, v := range a {
+					b = binary.LittleEndian.AppendUint16(b, uint16(v))
+				}
+			}
+		} else {
+			bins, truths, err = tr.ReadFrameTruthsInto(bins, truths[:0])
+			for _, a := range bins {
+				b = binary.LittleEndian.AppendUint32(b, uint32(len(a)))
+				for _, v := range a {
+					b = binary.LittleEndian.AppendUint64(b, realBits(v))
+					b = binary.LittleEndian.AppendUint64(b, imagBits(v))
+				}
 			}
 		}
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return frames, idx, tr.Skipped(), err
+		}
+		for i := range truths {
+			b = appendBodyState(b, &truths[i])
+		}
+		frames = append(frames, b)
+		idx = append(idx, tr.FrameIndex())
 	}
-	if _, _, err := tr.ReadFrameTruthsInto(dst, nil); err != io.EOF {
-		t.Fatalf("want clean io.EOF after recovery, got %v", err)
-	}
-	if tr.Skipped() != 1 {
-		t.Fatalf("Skipped() = %d, want 1", tr.Skipped())
-	}
-	if tr.FramesRead() != n-1 {
-		t.Fatalf("FramesRead() = %d, want %d", tr.FramesRead(), n-1)
+}
+
+// TestRecoverSkipsCRCDamagedRecord pins that recover mode salvages a
+// record with the decoder itself, for every record layout: a flip in
+// record i's stored CRC leaves its payload (and so the delta chain)
+// intact, so strict mode fails at i, and recover mode withholds exactly
+// frame i and returns every other frame bit-identical to the clean
+// decode, with the index gap visible, one skip and a clean io.EOF.
+// Every record is damaged in turn, the first and the last included.
+func TestRecoverSkipsCRCDamagedRecord(t *testing.T) {
+	const nRx, n = 3, 7
+	bins, binTruths := testFrames(nRx, 21, n, 11)
+	hSweeps := testHeader(nRx)
+	hSweeps.Domain, hSweeps.SweepsPerFrame, hSweeps.SamplesPerSweep = DomainSweeps, 2, 8
+	sweeps, sweepTruths := testFrames(nRx, 8, n, 12) // 16 float64 samples as 8 complex pairs
+	h16 := testHeaderInt16(nRx)
+	codes, codeTruths := testFramesInt16(nRx, 16, n, 13)
+	for _, c := range []struct {
+		layout  string
+		version uint16
+		data    []byte
+	}{
+		{"range bins", versionPlain, encode(t, testHeader(nRx), bins, binTruths)},
+		{"float64 sweeps", versionPlain, encode(t, hSweeps, sweeps, sweepTruths)},
+		{"int16 interleaved", 2, encodeInt16V2(t, h16, codes, codeTruths)},
+		{"int16 planar", versionPlanar16, encodeInt16(t, h16, codes, codeTruths)},
+	} {
+		t.Run(c.layout, func(t *testing.T) {
+			if v := binary.LittleEndian.Uint16(c.data[6:8]); v != c.version {
+				t.Fatalf("stamped version %d, want %d", v, c.version)
+			}
+			clean, _, _, err := drainBits(t, c.data, false)
+			if err != nil || len(clean) != n {
+				t.Fatalf("clean decode: %d frames, then %v", len(clean), err)
+			}
+			for bad := 0; bad < n; bad++ {
+				pre, body := splitTrace(t, c.data)
+				_, _, crcAt := record(t, body, bad)
+				body[crcAt] ^= 0x01
+				data := joinTrace(t, pre, body)
+
+				got, _, _, err := drainBits(t, data, false)
+				if !errors.Is(err, ErrCorrupt) || len(got) != bad {
+					t.Fatalf("record %d: strict mode decoded %d frames, then %v; want %d, then ErrCorrupt", bad, len(got), err, bad)
+				}
+
+				got, idx, skipped, err := drainBits(t, data, true)
+				if err != nil {
+					t.Fatalf("record %d: recover mode: %v", bad, err)
+				}
+				if len(got) != n-1 || skipped != 1 {
+					t.Fatalf("record %d: %d frames with %d skips, want %d and 1", bad, len(got), skipped, n-1)
+				}
+				for i := range got {
+					f := i
+					if i >= bad {
+						f++
+					}
+					if idx[i] != f {
+						t.Fatalf("record %d: surviving frame %d has FrameIndex %d, want %d", bad, i, idx[i], f)
+					}
+					if !bytes.Equal(got[i], clean[f]) {
+						t.Fatalf("record %d: frame %d not bit-identical to the clean decode", bad, f)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -354,7 +406,7 @@ func TestRecoverSkipCountsFramesOnTruthDamage(t *testing.T) {
 	if tr.Skipped() != 1 {
 		t.Fatalf("Skipped() = %d, want 1 (one record = one frame)", tr.Skipped())
 	}
-	if tr.FramesRead() != n-1 || seen != n-1 {
-		t.Fatalf("FramesRead() = %d (saw %d), want %d", tr.FramesRead(), seen, n-1)
+	if seen != n-1 || tr.FrameIndex() != n-1 {
+		t.Fatalf("saw %d frames ending at index %d, want %d ending at %d", seen, tr.FrameIndex(), n-1, n-1)
 	}
 }

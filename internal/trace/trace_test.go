@@ -58,6 +58,15 @@ func testFrames(nRx, bins, n int, seed int64) ([][]dsp.ComplexFrame, []motion.Bo
 	return frames, truths
 }
 
+// truthOf returns frame f's single-subject truth set: truths[f] alone,
+// or none when truths is nil.
+func truthOf(truths []motion.BodyState, f int) []motion.BodyState {
+	if truths == nil {
+		return nil
+	}
+	return truths[f : f+1]
+}
+
 // encode writes the frames into a fresh trace and returns its bytes.
 func encode(t *testing.T, h Header, frames [][]dsp.ComplexFrame, truths []motion.BodyState) []byte {
 	t.Helper()
@@ -67,11 +76,7 @@ func encode(t *testing.T, h Header, frames [][]dsp.ComplexFrame, truths []motion
 		t.Fatal(err)
 	}
 	for f := range frames {
-		var truth *motion.BodyState
-		if truths != nil {
-			truth = &truths[f]
-		}
-		if err := tw.WriteFrame(frames[f], truth); err != nil {
+		if err := tw.WriteFrameTruths(frames[f], truthOf(truths, f)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,9 +88,9 @@ func encode(t *testing.T, h Header, frames [][]dsp.ComplexFrame, truths []motion
 
 // TestMultiTruthRoundTrip pins the k-person truth records: a trace
 // written with several BodyStates per frame reads them all back, and a
-// single-truth frame encodes byte-identically through WriteFrame and
-// WriteFrameTruths — so the multi-person extension cannot disturb the
-// existing single-person corpus.
+// single-truth frame encodes byte-identically through the pointer-truth
+// WriteFrameInt16 and WriteFrameInt16Truths — so the multi-person
+// extension cannot disturb the single-person captures.
 func TestMultiTruthRoundTrip(t *testing.T) {
 	const nRx, bins, n, k = 3, 17, 8, 3
 	frames, base := testFrames(nRx, bins, n, 5)
@@ -144,15 +149,15 @@ func TestMultiTruthRoundTrip(t *testing.T) {
 	}
 
 	// Single-truth frames: both writer entry points, identical bytes.
-	one, oneTruths := testFrames(nRx, bins, 4, 6)
+	one, oneTruths := testFramesInt16(nRx, 16, 4, 6)
 	var viaFlag, viaSlice bytes.Buffer
-	twA, _ := NewWriter(&viaFlag, testHeader(nRx))
-	twB, _ := NewWriter(&viaSlice, testHeader(nRx))
+	twA, _ := NewWriter(&viaFlag, testHeaderInt16(nRx))
+	twB, _ := NewWriter(&viaSlice, testHeaderInt16(nRx))
 	for f := range one {
-		if err := twA.WriteFrame(one[f], &oneTruths[f]); err != nil {
+		if err := twA.WriteFrameInt16(one[f], &oneTruths[f]); err != nil {
 			t.Fatal(err)
 		}
-		if err := twB.WriteFrameTruths(one[f], oneTruths[f:f+1]); err != nil {
+		if err := twB.WriteFrameInt16Truths(one[f], oneTruths[f:f+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +168,7 @@ func TestMultiTruthRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(viaFlag.Bytes(), viaSlice.Bytes()) {
-		t.Fatal("WriteFrame and WriteFrameTruths(k=1) produced different bytes")
+		t.Fatal("WriteFrameInt16 and WriteFrameInt16Truths(k=1) produced different bytes")
 	}
 
 	// The truth-count byte is bounded: an oversized set must refuse.
@@ -213,33 +218,35 @@ func TestRoundTripLossless(t *testing.T) {
 	}
 
 	var dst []dsp.ComplexFrame
+	var tdst []motion.BodyState
 	for f := 0; f < n; f++ {
-		var truth motion.BodyState
-		var hasTruth bool
-		dst, truth, hasTruth, err = tr.ReadFrameInto(dst)
+		dst, tdst, err = tr.ReadFrameTruthsInto(dst, tdst[:0])
 		if err != nil {
 			t.Fatalf("frame %d: %v", f, err)
 		}
-		if !hasTruth {
-			t.Fatalf("frame %d lost its truth record", f)
+		if len(tdst) != 1 {
+			t.Fatalf("frame %d carries %d truth records, want 1", f, len(tdst))
 		}
-		if truth != truths[f] {
-			t.Fatalf("frame %d truth diverged: %+v != %+v", f, truth, truths[f])
+		if tdst[0] != truths[f] {
+			t.Fatalf("frame %d truth diverged: %+v != %+v", f, tdst[0], truths[f])
 		}
 		for k := 0; k < nRx; k++ {
 			if !bitsEqual(dst[k], frames[f][k]) {
 				t.Fatalf("frame %d antenna %d not bit-identical", f, k)
 			}
 		}
+		if tr.FrameIndex() != f {
+			t.Fatalf("frame %d: FrameIndex %d", f, tr.FrameIndex())
+		}
 	}
-	if _, _, _, err := tr.ReadFrameInto(dst); err != io.EOF {
+	if _, _, err := tr.ReadFrameTruthsInto(dst, nil); err != io.EOF {
 		t.Fatalf("want io.EOF after last frame, got %v", err)
 	}
-	if _, _, _, err := tr.ReadFrameInto(dst); err != io.EOF {
+	if _, _, err := tr.ReadFrameTruthsInto(dst, nil); err != io.EOF {
 		t.Fatalf("EOF must be sticky, got %v", err)
 	}
-	if tr.FramesRead() != n {
-		t.Fatalf("FramesRead %d != %d", tr.FramesRead(), n)
+	if tr.FrameIndex() != n-1 {
+		t.Fatalf("FrameIndex %d after the last frame, want %d", tr.FrameIndex(), n-1)
 	}
 }
 
@@ -261,11 +268,11 @@ func TestRoundTripNoTruthAndSpecialValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	for f := range frames {
-		got, _, hasTruth, err := tr.ReadFrame()
+		got, truths, err := tr.ReadFrameTruthsInto(nil, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", f, err)
 		}
-		if hasTruth {
+		if truths != nil {
 			t.Fatalf("frame %d grew a truth record", f)
 		}
 		for k := range frames[f] {
@@ -274,7 +281,7 @@ func TestRoundTripNoTruthAndSpecialValues(t *testing.T) {
 			}
 		}
 	}
-	if _, _, _, err := tr.ReadFrame(); err != io.EOF {
+	if _, _, err := tr.ReadFrameTruthsInto(nil, nil); err != io.EOF {
 		t.Fatalf("want io.EOF, got %v", err)
 	}
 }
@@ -285,7 +292,7 @@ func TestEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := tr.ReadFrame(); err != io.EOF {
+	if _, _, err := tr.ReadFrameTruthsInto(nil, nil); err != io.EOF {
 		t.Fatalf("want io.EOF from empty trace, got %v", err)
 	}
 }
@@ -324,14 +331,8 @@ func TestTruncationAlwaysErrors(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		var readErr error
-		for {
-			_, _, _, readErr = tr.ReadFrame()
-			if readErr != nil {
-				break
-			}
-		}
-		if readErr == io.EOF {
+		_, readErr := readAll(tr)
+		if readErr == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded cleanly", cut, len(data))
 		}
 		if !errors.Is(readErr, ErrCorrupt) {
@@ -353,12 +354,12 @@ func TestBitFlipsNeverDecodeSilently(t *testing.T) {
 		}
 		clean := true
 		for f := 0; clean && f < n; f++ {
-			got, truth, hasTruth, err := tr.ReadFrame()
+			got, ts, err := tr.ReadFrameTruthsInto(nil, nil)
 			if err != nil {
 				clean = false
 				break
 			}
-			if !hasTruth || truth != truths[f] {
+			if len(ts) != 1 || ts[0] != truths[f] {
 				t.Fatalf("bit flip at byte %d/%d silently corrupted frame %d truth", pos, len(data), f)
 			}
 			for k := 0; k < nRx; k++ {
@@ -374,7 +375,7 @@ func TestBitFlipsNeverDecodeSilently(t *testing.T) {
 		// bits that cannot alter content (gzip member header, deflate
 		// stored-block padding) — the frames above already proved the
 		// content is bit-identical, and the trailer must agree too.
-		if _, _, _, err := tr.ReadFrame(); err != io.EOF {
+		if _, _, err := tr.ReadFrameTruthsInto(nil, nil); err != io.EOF {
 			continue
 		}
 	}
@@ -443,7 +444,7 @@ func TestWriterRejectsAntennaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.WriteFrame(make([]dsp.ComplexFrame, 2), nil); err == nil {
+	if err := tw.WriteFrameTruths(make([]dsp.ComplexFrame, 2), nil); err == nil {
 		t.Fatal("frame with wrong antenna count must be rejected")
 	}
 }
@@ -457,8 +458,8 @@ func TestWriteAfterCloseRejected(t *testing.T) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.WriteFrame(make([]dsp.ComplexFrame, 1), nil); err == nil {
-		t.Fatal("WriteFrame after Close must fail")
+	if err := tw.WriteFrameTruths(make([]dsp.ComplexFrame, 1), nil); err == nil {
+		t.Fatal("WriteFrameTruths after Close must fail")
 	}
 }
 
@@ -489,7 +490,7 @@ func TestHugePayloadLengthRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := tr.ReadFrame(); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := tr.ReadFrameTruthsInto(nil, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt for oversized payload, got %v", err)
 	}
 }

@@ -86,52 +86,23 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 // Header returns the header the trace was opened with.
 func (tw *Writer) Header() Header { return tw.h }
 
-// Frames returns how many frames have been written.
-func (tw *Writer) Frames() int { return tw.n }
-
 // RawBytes returns how many bytes the trace encodes to before
 // compression (preamble plus framed records plus, after Close, the
 // trailer) — the numerator of the codec's compression ratio.
 func (tw *Writer) RawBytes() int64 { return tw.raw }
 
-// WriteFrame appends one frame: the per-antenna complex frames (one per
-// receive antenna, in antenna order) plus optional single-subject
-// ground truth. The slices are fully encoded before WriteFrame returns,
-// so callers may reuse their buffers.
-func (tw *Writer) WriteFrame(frames []dsp.ComplexFrame, truth *motion.BodyState) error {
-	if truth == nil {
-		return tw.WriteFrameTruths(frames, nil)
-	}
-	tw.one[0] = *truth
-	return tw.WriteFrameTruths(frames, tw.one[:])
-}
-
-// WriteFrameTruths is WriteFrame carrying one ground-truth BodyState
-// per tracked subject (the multi-person capture path). Single-subject
-// and empty truth sets encode byte-identically to WriteFrame, so the
-// two entry points are interchangeable for k <= 1.
+// WriteFrameTruths appends one frame of a range-bin or float64 sweep
+// trace: the per-antenna complex frames (one per receive antenna, in
+// antenna order) plus one ground-truth BodyState per tracked subject
+// (none for a truthless frame). The slices are fully encoded before it
+// returns, so callers may reuse their buffers.
 func (tw *Writer) WriteFrameTruths(frames []dsp.ComplexFrame, truths []motion.BodyState) error {
-	if tw.err != nil {
-		return tw.err
-	}
-	if tw.closed {
-		return fmt.Errorf("trace: WriteFrame after Close")
-	}
 	if tw.h.Sample == SampleInt16 {
-		return fmt.Errorf("trace: WriteFrameTruths on a %s-sample trace (use WriteFrameInt16)", SampleInt16)
+		return fmt.Errorf("trace: WriteFrameTruths on a %s-sample trace (use WriteFrameInt16Truths)", SampleInt16)
 	}
-	if len(frames) != tw.h.NumRx {
-		return fmt.Errorf("trace: frame has %d antennas, header says %d", len(frames), tw.h.NumRx)
-	}
-	if len(truths) > MaxTruths {
-		return fmt.Errorf("trace: %d ground-truth states per frame (max %d)", len(truths), MaxTruths)
-	}
-
-	b := tw.buf[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(tw.n))
-	b = append(b, byte(len(truths)))
-	for i := range truths {
-		b = appendBodyState(b, &truths[i])
+	b, err := tw.head(len(frames), truths)
+	if err != nil {
+		return err
 	}
 	for k, f := range frames {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(f)))
@@ -146,16 +117,14 @@ func (tw *Writer) WriteFrameTruths(frames []dsp.ComplexFrame, truths []motion.Bo
 			p[2*i], p[2*i+1] = re, im
 		}
 	}
-	tw.buf = b
 	return tw.writeRecord(b)
 }
 
-// WriteFrameInt16 appends one quantized sweep-domain frame: per antenna,
-// the frame's sweeps concatenated in sweep order as raw ADC codes, plus
-// optional single-subject ground truth. Only valid on a SampleInt16
-// trace. The codes are fully encoded (delta-filtered against the
-// previous frame) before WriteFrameInt16 returns, so callers may reuse
-// their buffers.
+// WriteFrameInt16 is WriteFrameInt16Truths with at most one
+// ground-truth state.
+//
+// Deprecated: use WriteFrameInt16Truths. The perfbench module is the
+// last caller.
 func (tw *Writer) WriteFrameInt16(sweeps [][]int16, truth *motion.BodyState) error {
 	if truth == nil {
 		return tw.WriteFrameInt16Truths(sweeps, nil)
@@ -164,30 +133,19 @@ func (tw *Writer) WriteFrameInt16(sweeps [][]int16, truth *motion.BodyState) err
 	return tw.WriteFrameInt16Truths(sweeps, tw.one[:])
 }
 
-// WriteFrameInt16Truths is WriteFrameInt16 carrying one ground-truth
-// BodyState per tracked subject.
+// WriteFrameInt16Truths appends one quantized sweep-domain frame of a
+// SampleInt16 trace: per antenna, the frame's sweeps concatenated in
+// sweep order as raw ADC codes, plus one ground-truth BodyState per
+// tracked subject. The codes are fully encoded (delta-filtered against
+// the previous frame) before it returns, so callers may reuse their
+// buffers.
 func (tw *Writer) WriteFrameInt16Truths(sweeps [][]int16, truths []motion.BodyState) error {
-	if tw.err != nil {
-		return tw.err
-	}
-	if tw.closed {
-		return fmt.Errorf("trace: WriteFrame after Close")
-	}
 	if tw.h.Sample != SampleInt16 {
 		return fmt.Errorf("trace: WriteFrameInt16Truths on a %q-sample trace", tw.h.Sample)
 	}
-	if len(sweeps) != tw.h.NumRx {
-		return fmt.Errorf("trace: frame has %d antennas, header says %d", len(sweeps), tw.h.NumRx)
-	}
-	if len(truths) > MaxTruths {
-		return fmt.Errorf("trace: %d ground-truth states per frame (max %d)", len(truths), MaxTruths)
-	}
-
-	b := tw.buf[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(tw.n))
-	b = append(b, byte(len(truths)))
-	for i := range truths {
-		b = appendBodyState(b, &truths[i])
+	b, err := tw.head(len(sweeps), truths)
+	if err != nil {
+		return err
 	}
 	for k, codes := range sweeps {
 		n := len(codes)
@@ -207,13 +165,37 @@ func (tw *Writer) WriteFrameInt16Truths(sweeps [][]int16, truths []motion.BodySt
 			p[i] = v
 		}
 	}
-	tw.buf = b
 	return tw.writeRecord(b)
 }
 
-// writeRecord frames one encoded payload into the gzip stream:
-// length prefix, payload, payload CRC.
+// head checks one frame against the writer — sticky error, Close, the
+// antenna count, the truth cap — and starts its record in the reusable
+// buffer: the index, the truth count and the truths.
+func (tw *Writer) head(nRx int, truths []motion.BodyState) ([]byte, error) {
+	if tw.err != nil {
+		return nil, tw.err
+	}
+	if tw.closed {
+		return nil, fmt.Errorf("trace: write after Close")
+	}
+	if nRx != tw.h.NumRx {
+		return nil, fmt.Errorf("trace: frame has %d antennas, header says %d", nRx, tw.h.NumRx)
+	}
+	if len(truths) > MaxTruths {
+		return nil, fmt.Errorf("trace: %d ground-truth states per frame (max %d)", len(truths), MaxTruths)
+	}
+	b := binary.LittleEndian.AppendUint32(tw.buf[:0], uint32(tw.n))
+	b = append(b, byte(len(truths)))
+	for i := range truths {
+		b = appendBodyState(b, &truths[i])
+	}
+	return b, nil
+}
+
+// writeRecord keeps b as the reusable record buffer and frames it into
+// the gzip stream: length prefix, payload, payload CRC.
 func (tw *Writer) writeRecord(b []byte) error {
+	tw.buf = b
 	if len(b) > maxPayloadLen {
 		tw.err = fmt.Errorf("trace: frame record is %d bytes (max %d)", len(b), maxPayloadLen)
 		return tw.err
