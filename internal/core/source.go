@@ -44,6 +44,10 @@ type FrameBatch struct {
 	// averaging are deterministic and run in the per-antenna workers
 	// against their own plans and scratch.
 	sweeps [][][]float64
+	// samples backs a replayed float64 sweep batch's sweeps: per
+	// antenna, the frame's samples in sweep order, which the per-sweep
+	// views slice.
+	samples [][]float64
 
 	// sweeps16, when non-nil, is the quantized form of the same deferred
 	// job: ADC codes indexed [antenna][sweep], each sweep a view into the

@@ -21,7 +21,11 @@ import (
 type TraceSource struct {
 	r    *trace.Reader
 	ring *batchRing
-	err  error
+	// packed receives a float64 sweep record before its samples are
+	// unpacked into the batch, so a batch in flight holds one copy of
+	// its samples, not two.
+	packed []dsp.ComplexFrame
+	err    error
 }
 
 // NewTraceSource wraps an opened trace reader with a private recycling
@@ -86,11 +90,24 @@ func (s *TraceSource) Next() *FrameBatch {
 	if s.err != nil {
 		return nil
 	}
-	if s.r.Header().Sample == trace.SampleInt16 {
+	h := s.r.Header()
+	if h.Sample == trace.SampleInt16 {
 		return s.nextInt16()
 	}
+	sweeps := h.Domain == trace.DomainSweeps
 	b := s.ring.get()
-	frames, truths, err := s.r.ReadFrameTruthsInto(b.Frames, b.States[:0])
+	// Range bins decode into the batch, whose frames the workers read; a
+	// float64 sweep record decodes into the source's packed buffer. Each
+	// is sized from the header, so a cold one is one buffer, not the
+	// reader's per-antenna allocations.
+	dst, n := &b.Frames, h.Bins
+	if sweeps {
+		dst, n = &s.packed, h.SweepsPerFrame*h.SamplesPerSweep/2
+	}
+	if !holds(*dst, h.NumRx, n) {
+		*dst = cut[dsp.ComplexFrame](h.NumRx, n)
+	}
+	frames, truths, err := s.r.ReadFrameTruthsInto(*dst, b.States[:0])
 	if err != nil {
 		s.ring.put(b)
 		if !errors.Is(err, io.EOF) {
@@ -102,16 +119,17 @@ func (s *TraceSource) Next() *FrameBatch {
 	// record leaves a gap in Index/T exactly like a dropped frame would.
 	index := s.r.FrameIndex()
 	b.Index = index
-	b.T = float64(index) * s.r.Header().Interval
-	b.Frames = frames
+	b.T = float64(index) * h.Interval
 	b.States = truths
 	b.synth = nil
 	b.sweeps16 = nil
-	if s.r.Header().Domain == trace.DomainSweeps {
+	if sweeps {
+		b.Frames = nil
 		err = s.unpackSweeps(b, frames)
 	} else {
-		b.sweeps = nil
-		err = checkBins(frames, s.r.Header().Bins)
+		b.Frames = frames
+		b.sweeps, b.samples = nil, nil
+		err = checkBins(frames, h.Bins)
 	}
 	if err != nil {
 		s.ring.put(b)
@@ -119,6 +137,30 @@ func (s *TraceSource) Next() *FrameBatch {
 		return nil
 	}
 	return b
+}
+
+// holds reports whether s is nRx slices of n elements each.
+func holds[S ~[]E, E any](s []S, nRx, n int) bool {
+	if len(s) != nRx {
+		return false
+	}
+	for _, x := range s {
+		if len(x) != n {
+			return false
+		}
+	}
+	return true
+}
+
+// cut returns nRx slices of n elements each, cut from one backing
+// array: two allocations, whatever nRx is.
+func cut[S ~[]E, E any](nRx, n int) []S {
+	backing := make([]E, nRx*n)
+	s := make([]S, nRx)
+	for k := range s {
+		s[k] = backing[k*n : (k+1)*n : (k+1)*n]
+	}
+	return s
 }
 
 // checkBins rejects a bin-domain record whose per-antenna frames do not
@@ -137,10 +179,16 @@ func checkBins(frames []dsp.ComplexFrame, bins int) error {
 // delta-decodes each antenna's ADC codes into the batch's recycled
 // backing buffers, and the per-sweep job views are re-sliced over them
 // in place — no dequantized staging copy exists anywhere; the workers'
-// frame body sums the codes in int32 and dequantizes the sum once.
+// frame body sums the codes in int32 and dequantizes the sum once. A
+// cold batch costs six allocations: itself, its codes and its views
+// (two each, see cut) and its truths.
 func (s *TraceSource) nextInt16() *FrameBatch {
 	h := s.r.Header()
+	spf, ns := h.SweepsPerFrame, h.SamplesPerSweep
 	b := s.ring.get()
+	if !holds(b.codes16, h.NumRx, spf*ns) {
+		b.codes16 = cut[[]int16](h.NumRx, spf*ns)
+	}
 	codes, truths, err := s.r.ReadFrameInt16Into(b.codes16, b.States[:0])
 	if err != nil {
 		s.ring.put(b)
@@ -149,9 +197,8 @@ func (s *TraceSource) nextInt16() *FrameBatch {
 		}
 		return nil
 	}
-	spf, ns := h.SweepsPerFrame, h.SamplesPerSweep
-	if len(b.sweeps16) != len(codes) {
-		b.sweeps16 = make([][][]int16, len(codes))
+	if !holds(b.sweeps16, len(codes), spf) {
+		b.sweeps16 = cut[[][]int16](len(codes), spf)
 	}
 	for k, c := range codes {
 		if len(c) != spf*ns {
@@ -160,14 +207,9 @@ func (s *TraceSource) nextInt16() *FrameBatch {
 				k, len(c), spf*ns, spf, ns)
 			return nil
 		}
-		views := b.sweeps16[k]
-		if len(views) != spf {
-			views = make([][]int16, spf)
-		}
-		for j := 0; j < spf; j++ {
+		for j, views := 0, b.sweeps16[k]; j < spf; j++ {
 			views[j] = c[j*ns : (j+1)*ns]
 		}
-		b.sweeps16[k] = views
 	}
 	index := s.r.FrameIndex()
 	b.Index = index
@@ -177,48 +219,39 @@ func (s *TraceSource) nextInt16() *FrameBatch {
 	b.scale16 = h.ADCScale
 	b.Frames = nil
 	b.synth = nil
-	b.sweeps = nil
+	b.sweeps, b.samples = nil, nil
 	return b
 }
 
 // unpackSweeps expands a sweep-domain record's pairwise-packed complex
-// values back into per-sweep float64 sample buffers (reused across
-// recycled batches), so the pipeline workers run the full window + RFFT
-// + averaging path on them. The packed Frames buffers stay on the batch
-// for ring reuse; materialize prefers b.sweeps when set.
+// values back into float64 sweep samples: per antenna one buffer of the
+// frame's samples in order (reused across recycled batches), which the
+// per-sweep views slice, so the pipeline workers run the full window +
+// RFFT + averaging path on them. A pair may straddle two sweeps when a
+// sweep holds an odd sample count.
 func (s *TraceSource) unpackSweeps(b *FrameBatch, frames []dsp.ComplexFrame) error {
 	h := s.r.Header()
 	spf, ns := h.SweepsPerFrame, h.SamplesPerSweep
-	bins := spf * ns / 2
-	if len(b.sweeps) != len(frames) {
-		b.sweeps = make([][][]float64, len(frames))
+	for k, f := range frames {
+		if len(f) != spf*ns/2 {
+			return fmt.Errorf("core: sweep-domain record for antenna %d has %d values, want %d (%d sweeps × %d samples)",
+				k, len(f), spf*ns/2, spf, ns)
+		}
+	}
+	if !holds(b.samples, len(frames), spf*ns) {
+		b.samples = cut[[]float64](len(frames), spf*ns)
+	}
+	if !holds(b.sweeps, len(frames), spf) {
+		b.sweeps = cut[[][]float64](len(frames), spf)
 	}
 	for k, f := range frames {
-		if len(f) != bins {
-			return fmt.Errorf("core: sweep-domain record for antenna %d has %d values, want %d (%d sweeps × %d samples)",
-				k, len(f), bins, spf, ns)
+		x := b.samples[k]
+		for i, c := range f {
+			x[2*i], x[2*i+1] = real(c), imag(c)
 		}
-		sw := b.sweeps[k]
-		if len(sw) != spf {
-			sw = make([][]float64, spf)
+		for j, views := 0, b.sweeps[k]; j < spf; j++ {
+			views[j] = x[j*ns : (j+1)*ns]
 		}
-		for j := 0; j < spf; j++ {
-			buf := sw[j]
-			if len(buf) != ns {
-				buf = make([]float64, ns)
-			}
-			base := j * ns
-			for t := 0; t < ns; t++ {
-				c := f[(base+t)/2]
-				if (base+t)%2 == 0 {
-					buf[t] = real(c)
-				} else {
-					buf[t] = imag(c)
-				}
-			}
-			sw[j] = buf
-		}
-		b.sweeps[k] = sw
 	}
 	return nil
 }

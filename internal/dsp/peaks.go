@@ -6,27 +6,10 @@ type Peak struct {
 	Power float64
 }
 
-// LocalMaxima returns all interior local maxima of the frame whose power
-// is at least threshold, in increasing bin order. Plateaus report their
-// first bin.
-func LocalMaxima(f Frame, threshold float64) []Peak {
-	var peaks []Peak
-	n := len(f)
-	for i := 1; i < n-1; i++ {
-		if f[i] < threshold {
-			continue
-		}
-		if f[i] > f[i-1] && f[i] >= f[i+1] {
-			peaks = append(peaks, Peak{Bin: i, Power: f[i]})
-		}
-	}
-	return peaks
-}
-
 // NeighborhoodMaximaInto appends to dst[:0] the bins that are the
 // strict maximum of their +-halfWin neighborhood and at least
 // threshold, in increasing bin order, so per-frame callers can reuse a
-// peak buffer across calls. Unlike LocalMaxima it ignores 1-bin noise
+// peak buffer across calls. With halfWin above 1 it ignores 1-bin noise
 // ripples riding on the flank of a wide reflection blob — those would
 // otherwise bias the bottom contour toward shorter distances.
 func NeighborhoodMaximaInto(f Frame, threshold float64, halfWin int, dst []Peak) []Peak {

@@ -5,29 +5,6 @@ import (
 	"testing"
 )
 
-func TestLocalMaxima(t *testing.T) {
-	f := Frame{0, 5, 1, 0, 8, 2, 0, 3, 0}
-	peaks := LocalMaxima(f, 2)
-	if len(peaks) != 3 {
-		t.Fatalf("peaks = %+v", peaks)
-	}
-	if peaks[0].Bin != 1 || peaks[1].Bin != 4 || peaks[2].Bin != 7 {
-		t.Fatalf("peak bins = %+v", peaks)
-	}
-	// Threshold filters the weakest.
-	peaks = LocalMaxima(f, 4)
-	if len(peaks) != 2 {
-		t.Fatalf("thresholded peaks = %+v", peaks)
-	}
-}
-
-func TestLocalMaximaEdgesExcluded(t *testing.T) {
-	f := Frame{10, 1, 1, 10}
-	if peaks := LocalMaxima(f, 0.5); len(peaks) != 0 {
-		t.Fatalf("edge samples must not count as maxima: %+v", peaks)
-	}
-}
-
 func TestStrongestPeak(t *testing.T) {
 	f := Frame{1, 2, 9, 3}
 	p, ok := StrongestPeak(f)

@@ -154,7 +154,7 @@ func TestTwoReflectorsResolved(t *testing.T) {
 	}
 	frame := s.SynthesizeFrameSlow(paths, rng)
 	thresh := 8 * s.NoiseBinSigma()
-	peaks := dsp.LocalMaxima(frame, thresh)
+	peaks := dsp.NeighborhoodMaximaInto(frame, thresh, 1, nil)
 	if len(peaks) < 2 {
 		t.Fatalf("expected two resolved peaks, got %+v", peaks)
 	}

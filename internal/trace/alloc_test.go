@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"testing"
 
@@ -57,6 +58,48 @@ func TestWarmReadsAllocateNothing(t *testing.T) {
 	read()
 	if a := testing.AllocsPerRun(runs, read); a != 0 {
 		t.Errorf("warm ReadFrameTruthsInto: %v allocs/record, want 0", a)
+	}
+}
+
+// TestWarmWritesAllocateNothing pins the recorder's steady state: once
+// the writer has taken a record of each shape, encoding, compressing
+// and writing the next one allocates nothing, on the int16 and the
+// float64 sweep encoding.
+func TestWarmWritesAllocateNothing(t *testing.T) {
+	const runs = 20
+	h16 := radioHeaderInt16()
+	codes, truths := testFramesInt16(h16.NumRx, h16.SweepsPerFrame*h16.SamplesPerSweep, 2, 5)
+	h := testSweepHeader(3)
+	h.SamplesPerSweep = 600
+	cf, ct := testFrames(h.NumRx, h.SweepsPerFrame*h.SamplesPerSweep/2, 2, 6)
+	for _, tc := range []struct {
+		name  string
+		h     Header
+		write func(tw *Writer, f int) error
+	}{
+		{"int16", h16, func(tw *Writer, f int) error {
+			return tw.WriteFrameInt16Truths(codes[f%2], truthOf(truths, f%2))
+		}},
+		{"float64", h, func(tw *Writer, f int) error {
+			return tw.WriteFrameTruths(cf[f%2], truthOf(ct, f%2))
+		}},
+	} {
+		tw, err := NewWriter(io.Discard, tc.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := 0
+		write := func() {
+			if err := tc.write(tw, f); err != nil {
+				t.Fatal(err)
+			}
+			f++
+		}
+		write()
+		write()
+		if a := testing.AllocsPerRun(runs, write); a != 0 {
+			t.Errorf("warm %s writes: %v allocs/record, want 0", tc.name, a)
+		}
 	}
 }
 

@@ -13,9 +13,9 @@
 //	header     JSON     (Header: radio config, array geometry, seed,
 //	                     frame clock, optional scenario provenance)
 //	headerCRC  uint32   CRC-32 (IEEE) of the header JSON
-//	body       gzip stream of frame blocks, then one trailer block
+//	body       gzip member of frame blocks, then one trailer block
 //
-// Each frame block inside the gzip stream is length-prefixed and
+// Each frame block inside the gzip member is length-prefixed and
 // CRC-guarded:
 //
 //	payloadLen uint32   little-endian (never the trailer sentinel)
@@ -70,12 +70,20 @@
 // sequencing violation, reports ErrCorrupt — truncated or bit-flipped
 // traces never decode silently and never panic.
 //
-// The body is a standard gzip member (RFC 1952), written by
-// compress/gzip, so any gzip tool reads it: at BestCompression, except
-// int16 traces at DefaultCompression (see NewWriter). Reader
-// decodes it with the package's own allocation-free DEFLATE decoder
-// (inflate.go), which accepts and rejects exactly the streams
-// compress/gzip does and is tested against it as the oracle.
+// The body is one standard gzip member (RFC 1952), so any gzip tool
+// reads it. A range-bin trace's body is written by compress/gzip at
+// BestCompression. A sweep trace's body is assembled by the Writer
+// (member.go): each sample plane — an int16 antenna body's low-byte or
+// high-byte plane, a float64 sweep antenna's XOR body — is deflated at
+// DefaultCompression with fresh history and kept as that DEFLATE
+// segment only when it saves at least an eighth of the plane; every
+// other byte sits in stored blocks, which a reader copies instead of
+// Huffman-decoding. No decompressed byte depends on that layout, so it
+// has no container version: a sweep trace whose body is one
+// compress/gzip stream, as earlier writers made it, reads the same.
+// Reader decodes the body with the package's own allocation-free
+// DEFLATE decoder (inflate.go), which accepts and rejects exactly the
+// streams compress/gzip does and is tested against it as the oracle.
 package trace
 
 import (

@@ -151,67 +151,75 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		drainTrace(data)
 
 		// Property 2: a trace built from fuzz-derived frames round-trips
-		// bit-exactly.
+		// bit-exactly, as range bins and as float64 sweeps, and
+		// compress/gzip reads a sweep trace's member to the bytes the
+		// package's inflater yields.
 		nRx, frames, truths := fuzzFrames(data)
-		var buf bytes.Buffer
-		tw, err := NewWriter(&buf, testHeader(nRx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range frames {
-			if err := tw.WriteFrameTruths(frames[i], truths[i]); err != nil {
+		for _, h := range []Header{testHeader(nRx), testSweepHeader(nRx)} {
+			var buf bytes.Buffer
+			tw, err := NewWriter(&buf, h)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		encoded := buf.Bytes()
-
-		tr, err := NewReader(bytes.NewReader(encoded))
-		if err != nil {
-			t.Fatalf("decoding just-encoded trace: %v", err)
-		}
-		var dst []dsp.ComplexFrame
-		var tdst []motion.BodyState
-		for i := range frames {
-			dst, tdst, err = tr.ReadFrameTruthsInto(dst, tdst[:0])
-			if err != nil {
-				t.Fatalf("frame %d: %v", i, err)
-			}
-			if (tdst != nil) != (truths[i] != nil) || len(tdst) != len(truths[i]) {
-				t.Fatalf("frame %d: %d truths, want %d", i, len(tdst), len(truths[i]))
-			}
-			if tdst != nil && !bodyStateBitsEqual(tdst[0], truths[i][0]) {
-				t.Fatalf("frame %d: truth not bit-identical", i)
-			}
-			for k := 0; k < nRx; k++ {
-				if !bitsEqual(dst[k], frames[i][k]) {
-					t.Fatalf("frame %d antenna %d not bit-identical", i, k)
+			for i := range frames {
+				if err := tw.WriteFrameTruths(frames[i], truths[i]); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
-		if _, _, err := tr.ReadFrameTruthsInto(dst, nil); err != io.EOF {
-			t.Fatalf("want io.EOF after round trip, got %v", err)
-		}
-
-		// Property 3: every truncation of the encoding errors (no
-		// truncated trace passes for complete), and a bit flip at a
-		// data-derived position never panics.
-		if len(encoded) > 0 {
-			cut := int(uint(len(data)) * 31 % uint(len(encoded)))
-			if err := drainTrace(encoded[:cut]); err == nil {
-				t.Fatalf("truncation to %d/%d bytes decoded cleanly", cut, len(encoded))
+			if err := tw.Close(); err != nil {
+				t.Fatal(err)
 			}
-			pos := int(uint(len(data))*37%uint(len(encoded)) | 1)
-			mutated := append([]byte(nil), encoded...)
-			mutated[pos%len(mutated)] ^= 1 << (uint(len(data)) % 8)
-			drainTrace(mutated)
+			encoded := buf.Bytes()
+			if h.Domain == DomainSweeps {
+				gzipReadsMember(t, encoded)
+			}
+
+			tr, err := NewReader(bytes.NewReader(encoded))
+			if err != nil {
+				t.Fatalf("decoding just-encoded trace: %v", err)
+			}
+			var dst []dsp.ComplexFrame
+			var tdst []motion.BodyState
+			for i := range frames {
+				dst, tdst, err = tr.ReadFrameTruthsInto(dst, tdst[:0])
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if (tdst != nil) != (truths[i] != nil) || len(tdst) != len(truths[i]) {
+					t.Fatalf("frame %d: %d truths, want %d", i, len(tdst), len(truths[i]))
+				}
+				if tdst != nil && !bodyStateBitsEqual(tdst[0], truths[i][0]) {
+					t.Fatalf("frame %d: truth not bit-identical", i)
+				}
+				for k := 0; k < nRx; k++ {
+					if !bitsEqual(dst[k], frames[i][k]) {
+						t.Fatalf("frame %d antenna %d not bit-identical", i, k)
+					}
+				}
+			}
+			if _, _, err := tr.ReadFrameTruthsInto(dst, nil); err != io.EOF {
+				t.Fatalf("want io.EOF after round trip, got %v", err)
+			}
+
+			// Property 3: every truncation of the encoding errors (no
+			// truncated trace passes for complete), and a bit flip at a
+			// data-derived position never panics.
+			if len(encoded) > 0 {
+				cut := int(uint(len(data)) * 31 % uint(len(encoded)))
+				if err := drainTrace(encoded[:cut]); err == nil {
+					t.Fatalf("truncation to %d/%d bytes decoded cleanly", cut, len(encoded))
+				}
+				pos := int(uint(len(data))*37%uint(len(encoded)) | 1)
+				mutated := append([]byte(nil), encoded...)
+				mutated[pos%len(mutated)] ^= 1 << (uint(len(data)) % 8)
+				drainTrace(mutated)
+			}
 		}
 
 		// Property 4: the int16 record encoding honors the same
-		// contracts — exact round-trip of fuzz-derived codes, truncations
-		// always error, flips never panic.
+		// contracts — exact round-trip of fuzz-derived codes, a member
+		// compress/gzip reads alike, truncations always error, flips never
+		// panic.
 		nRx16, codes := fuzzFramesInt16(data)
 		var buf16 bytes.Buffer
 		tw16, err := NewWriter(&buf16, testHeaderInt16(nRx16))
@@ -227,6 +235,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		enc16 := buf16.Bytes()
+		gzipReadsMember(t, enc16)
 		tr16, err := NewReader(bytes.NewReader(enc16))
 		if err != nil {
 			t.Fatalf("decoding just-encoded int16 trace: %v", err)
@@ -282,6 +291,24 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		mutated[int(uint(len(data))*43%uint(len(mutated)))] ^= 1 << (uint(len(data)) % 8)
 		drainTrace(mutated)
 	})
+}
+
+// gzipReadsMember fails t unless compress/gzip, reading one member,
+// decodes the body of an encoded trace to the bytes the package's
+// inflater yields, both without error.
+func gzipReadsMember(t *testing.T, data []byte) {
+	t.Helper()
+	want, err := gunzipAll(bytes.NewReader(bodyOf(data)))
+	if err != nil {
+		t.Fatalf("compress/gzip reading the member: %v", err)
+	}
+	got, err := inflateAll(bytes.NewReader(bodyOf(data)))
+	if err != nil {
+		t.Fatalf("inflating the member: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("inflater decoded %d bytes, compress/gzip %d", len(got), len(want))
+	}
 }
 
 func bodyStateBitsEqual(a, b motion.BodyState) bool {

@@ -20,18 +20,45 @@ import (
 // a trace without one reads back as corrupt, which is the point — a
 // recorder killed mid-capture must not leave a silently short corpus.
 type Writer struct {
-	w      io.Writer
-	zw     *gzip.Writer
+	body   sink
 	h      Header
-	buf    []byte
+	buf    []byte     // the framed record being written
+	planes []int      // its sample planes, as [start, end) offset pairs
 	prev   [][]uint64 // per antenna, previous frame's raw bits (re, im interleaved)
 	prev16 [][]int16  // per antenna, previous frame's codes (int16 traces)
 	one    [1]motion.BodyState
-	word   [4]byte // length/CRC scratch: a local array escapes per record
 	n      int
 	raw    int64
 	closed bool
 	err    error
+}
+
+// sink takes a Writer's framed records, in order, into the compressed
+// body.
+type sink interface {
+	// record appends one framed record. planes lists its sample planes
+	// as ascending [start, end) offset pairs.
+	record(rec []byte, planes []int) error
+	// close appends the trailer (none when the trace ends in error) and
+	// ends the body.
+	close(trailer []byte) error
+}
+
+// gzipSink is the body of a bin trace: one compress/gzip stream at
+// BestCompression.
+type gzipSink struct{ zw *gzip.Writer }
+
+func (s gzipSink) record(rec []byte, _ []int) error {
+	_, err := s.zw.Write(rec)
+	return err
+}
+
+func (s gzipSink) close(trailer []byte) error {
+	if _, err := s.zw.Write(trailer); err != nil {
+		s.zw.Close()
+		return err
+	}
+	return s.zw.Close()
 }
 
 // NewWriter validates the header and writes the container preamble
@@ -52,13 +79,9 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	// traces stay byte-identical to version-1 output (the checked-in
 	// corpus does not churn), int16 traces get the version of their
 	// byte-planar record layout.
-	version, level := uint16(versionPlain), gzip.BestCompression
+	version := uint16(versionPlain)
 	if h.Sample == SampleInt16 {
-		// An int16 body's high-byte plane is mostly 0x00 and 0xFF, on
-		// which BestCompression's 4,096-candidate hash chains stall: on
-		// a recorded default-radio trace it took 51 ms a frame against
-		// DefaultCompression's 4.2 ms, for 1.2% fewer bytes.
-		version, level = Version, gzip.DefaultCompression
+		version = Version
 	}
 	pre := make([]byte, 0, len(Magic)+2+4+len(hdr)+4)
 	pre = append(pre, Magic[:]...)
@@ -69,13 +92,22 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	if _, err := w.Write(pre); err != nil {
 		return nil, fmt.Errorf("trace: writing header: %w", err)
 	}
-	zw, err := gzip.NewWriterLevel(w, level)
+	// Sweep traces get a member assembled plane by plane (member.go).
+	// Bin traces keep one compress/gzip stream, so their bytes, and the
+	// checked-in bin corpus, stay what they were.
+	var body sink
+	if h.Domain == DomainSweeps {
+		body, err = newMember(w)
+	} else {
+		var zw *gzip.Writer
+		zw, err = gzip.NewWriterLevel(w, gzip.BestCompression)
+		body = gzipSink{zw}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return &Writer{
-		w:      w,
-		zw:     zw,
+		body:   body,
 		h:      h,
 		prev:   make([][]uint64, h.NumRx),
 		prev16: make([][]int16, h.NumRx),
@@ -110,12 +142,14 @@ func (tw *Writer) WriteFrameTruths(frames []dsp.ComplexFrame, truths []motion.Bo
 			tw.prev[k] = make([]uint64, 2*len(f))
 		}
 		p := tw.prev[k]
+		at := len(b)
 		for i, v := range f {
 			re, im := math.Float64bits(real(v)), math.Float64bits(imag(v))
 			b = binary.LittleEndian.AppendUint64(b, re^p[2*i])
 			b = binary.LittleEndian.AppendUint64(b, im^p[2*i+1])
 			p[2*i], p[2*i+1] = re, im
 		}
+		tw.planes = append(tw.planes, at, len(b))
 	}
 	return tw.writeRecord(b)
 }
@@ -164,13 +198,15 @@ func (tw *Writer) WriteFrameInt16Truths(sweeps [][]int16, truths []motion.BodySt
 			lo[i], hi[i] = byte(d), byte(d>>8)
 			p[i] = v
 		}
+		tw.planes = append(tw.planes, at, at+n, at+n, at+2*n)
 	}
 	return tw.writeRecord(b)
 }
 
 // head checks one frame against the writer — sticky error, Close, the
-// antenna count, the truth cap — and starts its record in the reusable
-// buffer: the index, the truth count and the truths.
+// antenna count, the truth cap — and starts its framed record in the
+// reusable buffer: room for the length prefix, then the index, the
+// truth count and the truths.
 func (tw *Writer) head(nRx int, truths []motion.BodyState) ([]byte, error) {
 	if tw.err != nil {
 		return nil, tw.err
@@ -184,7 +220,9 @@ func (tw *Writer) head(nRx int, truths []motion.BodyState) ([]byte, error) {
 	if len(truths) > MaxTruths {
 		return nil, fmt.Errorf("trace: %d ground-truth states per frame (max %d)", len(truths), MaxTruths)
 	}
-	b := binary.LittleEndian.AppendUint32(tw.buf[:0], uint32(tw.n))
+	tw.planes = tw.planes[:0]
+	b := append(tw.buf[:0], 0, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(tw.n))
 	b = append(b, byte(len(truths)))
 	for i := range truths {
 		b = appendBodyState(b, &truths[i])
@@ -192,59 +230,49 @@ func (tw *Writer) head(nRx int, truths []motion.BodyState) ([]byte, error) {
 	return b, nil
 }
 
-// writeRecord keeps b as the reusable record buffer and frames it into
-// the gzip stream: length prefix, payload, payload CRC.
+// writeRecord frames the payload b holds after its length prefix —
+// the length, the payload, the payload CRC — keeps b as the reusable
+// record buffer, and hands the record to the body.
 func (tw *Writer) writeRecord(b []byte) error {
+	n := len(b) - 4
+	if n > maxPayloadLen {
+		tw.buf = b
+		tw.err = fmt.Errorf("trace: frame record is %d bytes (max %d)", n, maxPayloadLen)
+		return tw.err
+	}
+	binary.LittleEndian.PutUint32(b, uint32(n))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[4:]))
 	tw.buf = b
-	if len(b) > maxPayloadLen {
-		tw.err = fmt.Errorf("trace: frame record is %d bytes (max %d)", len(b), maxPayloadLen)
-		return tw.err
-	}
-	pre := tw.word[:]
-	binary.LittleEndian.PutUint32(pre, uint32(len(b)))
-	if _, err := tw.zw.Write(pre); err != nil {
+	if err := tw.body.record(b, tw.planes); err != nil {
 		tw.err = fmt.Errorf("trace: %w", err)
 		return tw.err
 	}
-	if _, err := tw.zw.Write(b); err != nil {
-		tw.err = fmt.Errorf("trace: %w", err)
-		return tw.err
-	}
-	binary.LittleEndian.PutUint32(pre, crc32.ChecksumIEEE(b))
-	if _, err := tw.zw.Write(pre); err != nil {
-		tw.err = fmt.Errorf("trace: %w", err)
-		return tw.err
-	}
-	tw.raw += int64(8 + len(b))
+	tw.raw += int64(len(b))
 	tw.n++
 	return nil
 }
 
-// Close writes the trailer (sentinel, frame count, CRC) and flushes the
-// compressor. The underlying writer is left open.
+// Close writes the trailer (sentinel, frame count, CRC) and ends the
+// compressed body. The underlying writer is left open.
 func (tw *Writer) Close() error {
 	if tw.closed {
 		return tw.err
 	}
 	tw.closed = true
 	if tw.err != nil {
-		tw.zw.Close()
+		tw.body.close(nil)
 		return tw.err
 	}
 	var t [16]byte
 	binary.LittleEndian.PutUint32(t[0:], trailerSentinel)
 	binary.LittleEndian.PutUint64(t[4:], uint64(tw.n))
 	binary.LittleEndian.PutUint32(t[12:], crc32.ChecksumIEEE(t[4:12]))
-	if _, err := tw.zw.Write(t[:]); err != nil {
+	if err := tw.body.close(t[:]); err != nil {
 		tw.err = fmt.Errorf("trace: %w", err)
-		tw.zw.Close()
 		return tw.err
 	}
 	tw.raw += int64(len(t))
-	if err := tw.zw.Close(); err != nil {
-		tw.err = fmt.Errorf("trace: %w", err)
-	}
-	return tw.err
+	return nil
 }
 
 // bodyStateLen is the encoded size of a BodyState record: 6 float64
