@@ -8,6 +8,8 @@ package witrack
 // produced by `go run ./cmd/witrack-bench -scale paper`.
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -314,39 +316,73 @@ func BenchmarkX2TwoPerson(b *testing.B) {
 	b.ReportMetric(res.ValidFrac, "valid_frac")
 }
 
-// BenchmarkPipelineThroughput measures the staged pipeline's parallel
-// speedup: frames/sec and allocs/frame with a single processing worker
-// versus one worker per receive antenna (capped at GOMAXPROCS), plus
-// the full time-domain sweep path (per-sample tone synthesis, window +
-// real-input FFT per sweep, coherent averaging — the processing of the
-// paper's §7 implementation). The fixed seed makes the worker-count
-// variants compute bit-identical samples — only the schedule differs.
+// BenchmarkPipelineThroughput measures frames/sec and allocs/frame of
+// the staged pipeline: the fast spectral path with a single processing
+// worker versus one worker per receive antenna (capped at GOMAXPROCS);
+// the full time-domain sweep path (per-sample tone synthesis, then each
+// frame's sweeps summed, windowed and transformed by one real-input
+// FFT, the processing of the paper's §7 implementation); the replay of
+// a recorded 14-bit int16 sweep trace; and one worker versus four on a
+// four-antenna array. The fixed seed makes the worker-count variants
+// compute bit-identical samples; only the schedule differs.
+//
+// Two wall-clock orderings, each measured within one run, can fail the
+// benchmark; each case with a base case reports its speedup over it.
+// Replaying quantized codes skips synthesis, so int16 replay must
+// outrun the time-domain path. And four workers on the four-antenna
+// array must reach speedupFloor times one worker at GOMAXPROCS 4, which
+// gates only on hosts with at least 4 CPUs.
 func BenchmarkPipelineThroughput(b *testing.B) {
+	const speedupFloor = 1.5
 	// The pipeline caps workers at the antenna count; label with the
 	// count that actually runs.
 	parallel := runtime.GOMAXPROCS(0)
 	if nRx := len(DefaultConfig().Array.Rx); parallel > nRx {
 		parallel = nRx
 	}
+	procs := min(4, runtime.NumCPU())
+	fourFloor := speedupFloor
+	if procs < 4 {
+		fourFloor = 0 // the floor assumes a CPU for each of the 4 workers
+	}
 	type benchCase struct {
 		name     string
 		workers  int
-		slow     bool
+		slow     bool // time-domain sweep synthesis
+		replay   bool // replay a recorded int16 sweep trace of the walk
+		fourRx   bool // a "+" array (a fourth Rx above the Tx) at GOMAXPROCS procs
 		duration float64
+		base     string  // an earlier case this one's speedup is over
+		floor    float64 // the least speedup over base; 0 does not gate
 	}
-	cases := []benchCase{{"workers=1", 1, false, 30}}
+	cases := []benchCase{{name: "workers=1", workers: 1, duration: 30}}
 	if parallel > 1 {
-		cases = append(cases, benchCase{fmt.Sprintf("workers=%d", parallel), parallel, false, 30})
+		cases = append(cases, benchCase{name: fmt.Sprintf("workers=%d", parallel), workers: parallel, duration: 30})
 	}
 	// The time-domain path costs ~50x the spectral path per frame; a
 	// shorter trajectory keeps the 1x smoke run quick while still
 	// averaging hundreds of frames.
-	cases = append(cases, benchCase{"time-domain-sweeps", 0, true, 5})
+	cases = append(cases,
+		benchCase{name: "time-domain-sweeps", slow: true, duration: 5},
+		benchCase{name: "int16-replay", replay: true, duration: 5, base: "time-domain-sweeps", floor: 1},
+		benchCase{name: "four-rx-workers=1", workers: 1, fourRx: true, duration: 30},
+		benchCase{name: "four-rx-workers=4", workers: 4, fourRx: true, duration: 30,
+			base: "four-rx-workers=1", floor: fourFloor})
+	fps := map[string]float64{}
+	var int16Trace []byte // recorded once, on the replay case's first round
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Seed = 1
-			cfg.SlowSynth = bc.slow
+			cfg.SlowSynth = bc.slow || bc.replay
+			if bc.replay {
+				cfg.Radio.ADCBits = 14
+			}
+			if bc.fourRx {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				sep := cfg.Array.Rx[1].X
+				cfg.Array.Rx = append(cfg.Array.Rx, Vec3{Z: cfg.Array.Tx.Z + sep})
+			}
 			dev, err := NewDevice(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -354,6 +390,14 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			dev.Workers = bc.workers
 			walk := NewRandomWalk(DefaultWalkConfig(
 				StandardRegion(), 0.96, bc.duration, 1))
+			pass := func() int { return dev.Run(walk).Frames }
+			if bc.replay {
+				if int16Trace == nil {
+					int16Trace = recordSweepTrace(b, cfg, walk)
+				}
+				pass = func() int { return replayTrace(b, dev, int16Trace) }
+			}
+			pass() // warm the device's buffers and recycling ring
 			var frames int
 			var m0, m1 runtime.MemStats
 			runtime.GC()
@@ -362,14 +406,71 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				dev.Reset()
-				res := dev.Run(walk)
-				frames += res.Frames
+				frames += pass()
 			}
 			elapsed := time.Since(start)
 			b.StopTimer()
 			runtime.ReadMemStats(&m1)
-			b.ReportMetric(float64(frames)/elapsed.Seconds(), "frames/sec")
+			fps[bc.name] = float64(frames) / elapsed.Seconds()
+			b.ReportMetric(fps[bc.name], "frames/sec")
 			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(frames), "allocs/frame")
+
+			// A -bench filter may have skipped the base case.
+			if base := fps[bc.base]; base > 0 {
+				speedup := fps[bc.name] / base
+				b.ReportMetric(speedup, "speedup")
+				switch {
+				case bc.floor == 0:
+					b.Logf("%.2fx over %s; no floor gates on %d CPUs", speedup, bc.base, runtime.NumCPU())
+				case speedup < bc.floor:
+					b.Errorf("%.2fx over %s, below the %.1fx floor", speedup, bc.base, bc.floor)
+				}
+			}
 		})
 	}
+}
+
+// recordSweepTrace records the walk on a fresh device built from cfg into
+// an in-memory sweep trace: int16 ADC codes when cfg sets ADCBits.
+func recordSweepTrace(b *testing.B, cfg Config, walk Trajectory) []byte {
+	b.Helper()
+	dev, err := NewDevice(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tw, err := NewTraceWriter(&buf, dev.SweepTraceHeader())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := dev.RecordTo(tw, walk); err != nil {
+		b.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// replayTrace streams a recorded trace through dev and returns the
+// number of frames it emitted.
+func replayTrace(b *testing.B, dev *Device, data []byte) int {
+	b.Helper()
+	tr, err := NewTraceReader(bytes.NewReader(data))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := NewTraceSource(tr)
+	ch, err := dev.StreamFrom(context.Background(), src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frames := 0
+	for range ch {
+		frames++
+	}
+	if err := src.Err(); err != nil {
+		b.Fatal(err)
+	}
+	return frames
 }

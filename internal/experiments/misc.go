@@ -1,12 +1,7 @@
 package experiments
 
 import (
-	"bytes"
-	"context"
-	"math"
-	"math/cmplx"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"witrack/internal/baseline/rti"
@@ -16,7 +11,6 @@ import (
 	"witrack/internal/motion"
 	"witrack/internal/rf"
 	"witrack/internal/scenario"
-	"witrack/internal/trace"
 )
 
 // ResolutionResult is the E1 artifact.
@@ -293,299 +287,4 @@ func AblationExtraAntennas(sc Scale, seed int64) (*AblationAntennasResult, error
 		return nil, err
 	}
 	return &AblationAntennasResult{ThreeRxMedian3D: three, FourRxMedian3D: four}, nil
-}
-
-// PipelineThroughputResult is the X3 artifact: frame throughput of the
-// staged streaming pipeline with a serial processing stage versus one
-// worker per receive antenna (the paper's §7 FPGA+multicore analog),
-// plus the steady-state allocation rate and the time-domain sweep path's
-// numbers — the quantities the planned-FFT/zero-allocation work is
-// measured by (see BENCH_pipeline.json).
-type PipelineThroughputResult struct {
-	// SerialFPS is frames/sec with Workers=1.
-	SerialFPS float64 `json:"serial_fps"`
-	// ParallelFPS is frames/sec with one worker per antenna.
-	ParallelFPS float64 `json:"parallel_fps"`
-	// Speedup is ParallelFPS / SerialFPS. On a single-CPU host this
-	// hovers near 1: the pipeline still runs, the hardware cannot.
-	Speedup float64 `json:"speedup"`
-	// Workers is the parallel worker count used.
-	Workers int `json:"workers"`
-	// Frames is the number of frames in each measured run.
-	Frames int `json:"frames"`
-	// AllocsPerFrame is the heap allocations per frame of the parallel
-	// fast-path run (including warm-up; the steady state is lower).
-	AllocsPerFrame float64 `json:"allocs_per_frame"`
-	// TimeDomainFPS is frames/sec of the full time-domain sweep path
-	// (SlowSynth: per-sample tone synthesis, window + real-input FFT per
-	// sweep, coherent averaging) with one worker per antenna.
-	TimeDomainFPS float64 `json:"time_domain_fps"`
-	// TimeDomainAllocsPerFrame is the allocation rate of that run.
-	TimeDomainAllocsPerFrame float64 `json:"time_domain_allocs_per_frame"`
-	// Int16ReplayFPS is frames/sec replaying a quantized int16 sweep
-	// trace (delta-decoded ADC codes through the int16 frame body)
-	// with one worker per antenna. Replay pays no
-	// synthesis cost, so this is the decode+FFT throughput of the
-	// fixed-point path and must beat TimeDomainFPS.
-	Int16ReplayFPS float64 `json:"int16_replay_fps"`
-	// Int16ReplayAllocsPerFrame is the allocation rate of that run.
-	Int16ReplayAllocsPerFrame float64 `json:"int16_replay_allocs_per_frame"`
-	// Int16BytesPerFrame is the on-wire (compressed) size per frame of
-	// the int16 trace the replay consumed.
-	Int16BytesPerFrame float64 `json:"int16_bytes_per_frame"`
-	// Int16MaxError is the measured quantized-vs-float64 spectrum error
-	// (largest absolute per-bin deviation over a set of realistic
-	// frames); it must stay below Int16ErrorBound, the synthesizer's
-	// analytic per-bin quantization bound for the 14-bit converter.
-	Int16MaxError   float64 `json:"int16_max_error"`
-	Int16ErrorBound float64 `json:"int16_error_bound"`
-	// SerializedHost is true when the measurement ran with a single
-	// schedulable CPU (GOMAXPROCS=1 or a one-core machine): every
-	// speedup in this result is then a measure of pipeline overhead,
-	// not of parallel scaling, and should not be gated on.
-	SerializedHost bool `json:"serialized_host"`
-	// SpeedupCurve is the measured scaling surface: frame throughput on
-	// a four-antenna array across a GOMAXPROCS × worker-count sweep,
-	// each point's speedup relative to the one-worker run at the same
-	// GOMAXPROCS.
-	SpeedupCurve []SpeedupPoint `json:"speedup_curve,omitempty"`
-}
-
-// SpeedupPoint is one cell of the scaling sweep.
-type SpeedupPoint struct {
-	// GOMAXPROCS is the scheduler width the point ran under.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// Workers is the per-antenna pipeline worker count.
-	Workers int `json:"workers"`
-	// FPS is the measured frame throughput.
-	FPS float64 `json:"fps"`
-	// Speedup is FPS over the Workers=1 FPS at the same GOMAXPROCS.
-	Speedup float64 `json:"speedup"`
-}
-
-// PipelineThroughput times identical fixed-seed runs (bit-identical
-// samples; only the schedule differs) at the two worker counts, then
-// measures the time-domain sweep path, the int16 replay path and its
-// quantization-error oracle, and the GOMAXPROCS × worker scaling curve.
-func PipelineThroughput(duration float64, seed int64) (*PipelineThroughputResult, error) {
-	timeRun := func(workers int, slow, fourRx bool) (fps, allocsPerFrame float64, frames int, err error) {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		cfg.SlowSynth = slow
-		if fourRx {
-			// The default T array has three receive antennas, capping the
-			// worker count at three; the scaling sweep completes the "+"
-			// with a fourth Rx above the Tx so a four-worker point exists.
-			sep := cfg.Array.Rx[1].X
-			cfg.Array.Rx = append(cfg.Array.Rx, geom.Vec3{X: 0, Y: 0, Z: cfg.Array.Tx.Z + sep})
-		}
-		dev, err := core.NewDevice(cfg)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		dev.Workers = workers
-		walk := motion.NewRandomWalk(motion.DefaultWalkConfig(
-			Region(), cfg.Subject.CenterHeight(), duration, seed+1))
-		// A short warm-up run populates the device's recycling ring (and
-		// the runtime's size-class caches), so the measured run reports
-		// steady-state allocation behavior instead of cold-start costs.
-		warm := motion.NewRandomWalk(motion.DefaultWalkConfig(
-			Region(), cfg.Subject.CenterHeight(), 2, seed+2))
-		dev.Run(warm)
-		dev.Reset()
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		res := dev.Run(walk)
-		elapsed := time.Since(start).Seconds()
-		runtime.ReadMemStats(&m1)
-		return float64(res.Frames) / elapsed,
-			float64(m1.Mallocs-m0.Mallocs) / float64(res.Frames),
-			res.Frames, nil
-	}
-	serial, _, frames, err := timeRun(1, false, false)
-	if err != nil {
-		return nil, err
-	}
-	parallel, allocs, _, err := timeRun(0, false, false)
-	if err != nil {
-		return nil, err
-	}
-	timeDomain, tdAllocs, _, err := timeRun(0, true, false)
-	if err != nil {
-		return nil, err
-	}
-	i16, i16Allocs, i16BPF, err := timeInt16Replay(duration, seed)
-	if err != nil {
-		return nil, err
-	}
-
-	qErr, qBound := int16SpectrumOracle(seed)
-
-	nRx := len(core.DefaultConfig().Array.Rx)
-	res := &PipelineThroughputResult{
-		SerialFPS:                 serial,
-		ParallelFPS:               parallel,
-		Speedup:                   parallel / serial,
-		Workers:                   nRx,
-		Frames:                    frames,
-		AllocsPerFrame:            allocs,
-		TimeDomainFPS:             timeDomain,
-		TimeDomainAllocsPerFrame:  tdAllocs,
-		Int16ReplayFPS:            i16,
-		Int16ReplayAllocsPerFrame: i16Allocs,
-		Int16BytesPerFrame:        i16BPF,
-		Int16MaxError:             qErr,
-		Int16ErrorBound:           qBound,
-		SerializedHost:            runtime.NumCPU() == 1 || runtime.GOMAXPROCS(0) == 1,
-	}
-
-	// Scaling sweep: GOMAXPROCS × workers on the four-antenna array.
-	// Each GOMAXPROCS column is normalized by its own one-worker run, so
-	// a point isolates pipeline scaling from scheduler width.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	procsSeen := map[int]bool{}
-	for _, procs := range []int{1, 2, 4} {
-		if procs > runtime.NumCPU() || procsSeen[procs] {
-			continue
-		}
-		procsSeen[procs] = true
-		runtime.GOMAXPROCS(procs)
-		base := 0.0
-		for _, workers := range []int{1, 2, 4} {
-			fps, _, _, err := timeRun(workers, false, true)
-			if err != nil {
-				return nil, err
-			}
-			if workers == 1 {
-				base = fps
-			}
-			res.SpeedupCurve = append(res.SpeedupCurve, SpeedupPoint{
-				GOMAXPROCS: procs,
-				Workers:    workers,
-				FPS:        fps,
-				Speedup:    fps / base,
-			})
-		}
-	}
-	return res, nil
-}
-
-// timeInt16Replay records a quantized walk into an in-memory int16
-// sweep trace once, then times a warm replay of it with one worker per
-// antenna: delta-decoded ADC codes streaming through the int16 frame
-// body, no synthesis on the clock. Returns frame
-// throughput, the allocation rate, and the compressed trace bytes per
-// frame.
-func timeInt16Replay(duration float64, seed int64) (fps, allocsPerFrame, bytesPerFrame float64, err error) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.SlowSynth = true
-	cfg.Radio.ADCBits = 14
-	rec, err := core.NewDevice(cfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	walk := motion.NewRandomWalk(motion.DefaultWalkConfig(
-		Region(), cfg.Subject.CenterHeight(), duration, seed+1))
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, rec.SweepTraceHeader())
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	frames, err := rec.RecordTo(tw, walk)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if err := tw.Close(); err != nil {
-		return 0, 0, 0, err
-	}
-	if frames == 0 {
-		return 0, 0, 0, nil
-	}
-	data := buf.Bytes()
-
-	dev, err := core.NewDevice(cfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	dev.Workers = 0
-	replay := func() (int, error) {
-		tr, err := trace.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return 0, err
-		}
-		src := core.NewTraceSource(tr)
-		ch, err := dev.StreamFrom(context.Background(), src)
-		if err != nil {
-			return 0, err
-		}
-		n := 0
-		for range ch {
-			n++
-		}
-		return n, src.Err()
-	}
-	// Warm pass fills the recycling ring so the measured pass reports
-	// steady-state allocation behavior (same discipline as timeRun).
-	if _, err := replay(); err != nil {
-		return 0, 0, 0, err
-	}
-	dev.Reset()
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	n, err := replay()
-	elapsed := time.Since(start).Seconds()
-	runtime.ReadMemStats(&m1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if n == 0 {
-		return 0, 0, 0, nil
-	}
-	return float64(n) / elapsed,
-		float64(m1.Mallocs-m0.Mallocs) / float64(n),
-		float64(len(data)) / float64(frames), nil
-}
-
-// int16SpectrumOracle measures the quantized sweep path against the
-// unquantized float64 reference over a set of realistic frames: the
-// worst absolute per-bin deviation across quantize → code sum →
-// dequantize → window → FFT, together with the analytic bound it must stay
-// under. The full scale comes from fmcw.ADCFullScale for the frame's
-// paths, matching how core sizes a device's converter.
-func int16SpectrumOracle(seed int64) (maxErr, bound float64) {
-	cfg := fmcw.Default()
-	s := fmcw.NewSynthesizer(cfg)
-	rng := rand.New(rand.NewSource(seed))
-	ws := s.NewSweepScratch()
-	wsq := s.NewSweepScratch()
-	sweeps := make([][]float64, cfg.SweepsPerFrame)
-	codes := make([][]int16, cfg.SweepsPerFrame)
-	for frame := 0; frame < 8; frame++ {
-		rt := 4 + 8*rng.Float64()
-		paths := []fmcw.Path{
-			{RoundTrip: rt, PowerWatts: 1e-6, Phase: rng.Float64() * 2 * math.Pi},
-			{RoundTrip: rt + 3, PowerWatts: 1e-9, Phase: rng.Float64() * 2 * math.Pi},
-		}
-		q := fmcw.NewQuantizer(14, fmcw.ADCFullScale(paths, cfg.NoiseFloorWatts))
-		for i := range sweeps {
-			sweeps[i] = s.SynthesizeSweep(paths, rng)
-			codes[i] = q.Quantize(codes[i], sweeps[i])
-		}
-		want := s.ComplexFrameFromSweepsInto(nil, sweeps, ws)
-		got := s.ComplexFrameFromSweepsInt16Into(nil, codes, q.Scale(), wsq)
-		for i := range want {
-			if e := cmplx.Abs(got[i] - want[i]); e > maxErr {
-				maxErr = e
-			}
-		}
-		if b := s.QuantErrorBound(q.Scale()); b > bound {
-			bound = b
-		}
-	}
-	return maxErr, bound
 }
