@@ -84,6 +84,55 @@ func TestGoldenPipelineBitIdentical(t *testing.T) {
 	}
 }
 
+// TestGoldenSweepPathBitIdentical pins the time-domain sweep path — the
+// sweep sums, window, real-input FFT and 1/n scale of the frame body —
+// to digests captured before the fused FFT passes, the bit-reversing
+// pack and the two-sweep sum passes went in. Those kernels were
+// required to give every output value the same floating-point
+// operations on the same operands in the same order, so no digest may
+// move. The float64 and 14-bit cases run under -short; 12 and 16 bits
+// complete the quantizer's depths otherwise.
+func TestGoldenSweepPathBitIdentical(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Captured on amd64; see TestGoldenPipelineBitIdentical.
+		t.Skipf("golden digests are amd64-specific (GOARCH=%s)", runtime.GOARCH)
+	}
+	cases := []struct {
+		bits int
+		seed int64
+		hash uint64
+	}{
+		{bits: 0, seed: 1, hash: 0x8953c3abef8fdb72},
+		{bits: 0, seed: 7, hash: 0xd6d2d591fb234219},
+		{bits: 14, seed: 1, hash: 0x4560b9f64073f2e8},
+		{bits: 14, seed: 7, hash: 0xe17e8a5967fa6822},
+		{bits: 12, seed: 1, hash: 0xe7d05e495273253c},
+		{bits: 12, seed: 7, hash: 0x1f4af0299e2daac1},
+		{bits: 16, seed: 1, hash: 0xc47d3fa8a68727a1},
+		{bits: 16, seed: 7, hash: 0x700bd2c0cce92479},
+	}
+	for _, c := range cases {
+		if testing.Short() && c.bits != 0 && c.bits != 14 {
+			continue
+		}
+		cfg := DefaultConfig()
+		cfg.Seed = c.seed
+		cfg.SlowSynth = true
+		cfg.Radio.ADCBits = c.bits
+		dev, err := NewDevice(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := dev.Run(motion.NewRandomWalk(motion.DefaultWalkConfig(testRegion(), 0.96, 3, c.seed+1)))
+		if res.Frames != 241 {
+			t.Fatalf("bits %d seed %d: %d frames, golden run had 241", c.bits, c.seed, res.Frames)
+		}
+		if got := goldenHash(res.Samples); got != c.hash {
+			t.Fatalf("bits %d seed %d: output hash %#016x != golden %#016x — the sweep path is no longer bit-identical", c.bits, c.seed, got, c.hash)
+		}
+	}
+}
+
 // TestSlowSynthPipelineMatchesSerial extends the pipeline-vs-serial
 // bit-exactness property to the time-domain sweep path: deferring the
 // window + real-input FFT + averaging into the per-antenna workers (the

@@ -1,10 +1,15 @@
 package fmcw
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"witrack/internal/dsp"
@@ -162,35 +167,124 @@ func TestInt16SumIsExactAtTheRails(t *testing.T) {
 	closeToPeak(t, "rail codes vs one sweep", got, perSweepFrame(s, dequantize(codes[:1], scale)))
 }
 
+// frameDigest folds every bin's real and imaginary bits into a 64-bit
+// FNV-1a hash, so a single-bit change anywhere in a frame moves it.
+func frameDigest(h hash.Hash64, frame dsp.ComplexFrame) {
+	var buf [16]byte
+	for _, v := range frame {
+		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(real(v)))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(v)))
+		h.Write(buf[:])
+	}
+}
+
+// TestFrameBodyDigests pins both entry points of the frame body — the
+// range-bin frame and the whole spectrum behind it — to digests
+// captured before the fused FFT passes, the bit-reversing pack
+// and the two-sweep sum passes went in, on seeded sweeps of both radio
+// shapes at 1, 2, 5 and 8 sweeps per frame: odd and even counts, so
+// both sum passes meet a tail sweep and none.
+func TestFrameBodyDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Captured on amd64, where no multiply-add is fused; see
+		// core's TestGoldenPipelineBitIdentical.
+		t.Skipf("golden digests are amd64-specific (GOARCH=%s)", runtime.GOARCH)
+	}
+	cases := []struct {
+		radio       string
+		count       int
+		f64, int16s uint64
+	}{
+		{"default", 1, 0xe486633daf47c636, 0x3de8b42ed979670f},
+		{"default", 2, 0x18f5e65c531a0f65, 0x2d02054bed05c574},
+		{"default", 5, 0xb7917d4e0eeb61f1, 0x9feedd2759a107db},
+		{"default", 8, 0x2fdb2f97a4228174, 0x887cd4d97133b360},
+		{"compact", 1, 0x3a51d7fa8eca6b53, 0x6b2fb8ed0ab0f364},
+		{"compact", 2, 0xe0d116182a371a68, 0x61d234c24052d32f},
+		{"compact", 5, 0x872bc67ae910d067, 0x5d395e986d2c8c9d},
+		{"compact", 8, 0xf36f89e3da31c9da, 0xe4bdc5bcb7ad6518},
+	}
+	radios := map[string]Config{"default": Default(), "compact": compactRadio()}
+	for _, c := range cases {
+		cfg := radios[c.radio]
+		s := NewSynthesizer(cfg)
+		rng := rand.New(rand.NewSource(int64(c.count)))
+		paths := testPaths(rng)
+		q := NewQuantizer(14, ADCFullScale(paths, cfg.NoiseFloorWatts))
+		sweeps := make([][]float64, c.count)
+		codes := make([][]int16, c.count)
+		for i := range sweeps {
+			sweeps[i] = s.SynthesizeSweep(paths, rng)
+			codes[i] = q.Quantize(nil, sweeps[i])
+		}
+		ws := s.NewSweepScratch()
+		h := fnv.New64a()
+		frameDigest(h, s.ComplexFrameFromSweepsInto(nil, sweeps, ws))
+		frameDigest(h, ws.spec)
+		f64 := h.Sum64()
+		h.Reset()
+		frameDigest(h, s.ComplexFrameFromSweepsInt16Into(nil, codes, q.Scale(), ws))
+		frameDigest(h, ws.spec)
+		i16 := h.Sum64()
+		if f64 != c.f64 || i16 != c.int16s {
+			t.Errorf("%s radio, %d sweeps: digests float64 %#016x int16 %#016x, golden %#016x %#016x — the frame body is no longer bit-identical",
+				c.radio, c.count, f64, i16, c.f64, c.int16s)
+		}
+	}
+}
+
 // TestFrameBodyPanicsOnBadSweeps pins the frame body's contract: every
 // sweep has the radio's length, and an int16 frame holds at most
-// MaxSweepsPerFrame sweeps. Anything else is a programmer error.
+// MaxSweepsPerFrame sweeps. Anything else is a programmer error, and the
+// panic must be the frame body's own, naming the offending sweep — not
+// a runtime bounds error, and not a silently truncated sweep. A bad
+// sweep goes at each position of a 5-sweep frame: first and second of a
+// summed pair, and the odd tail.
 func TestFrameBodyPanicsOnBadSweeps(t *testing.T) {
 	s := NewSynthesizer(compactRadio())
 	ns := s.cfg.SamplesPerSweep()
-	mustPanic := func(label string, f func()) {
+	mustPanic := func(label, want string, f func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
+			t.Helper()
+			r := recover()
+			if r == nil {
 				t.Fatalf("%s: no panic", label)
+			}
+			if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, want) {
+				t.Fatalf("%s: panic %v, want one starting %q", label, r, want)
 			}
 		}()
 		f()
 	}
 	ws := s.NewSweepScratch()
+	const count = 5
 	for _, n := range []int{ns - 1, ns + 1, 0} {
-		mustPanic(fmt.Sprintf("float64 sweep of %d samples", n), func() {
-			s.ComplexFrameFromSweepsInto(nil, [][]float64{make([]float64, ns), make([]float64, n)}, ws)
-		})
-		mustPanic(fmt.Sprintf("int16 sweep of %d samples", n), func() {
-			s.ComplexFrameFromSweepsInt16Into(nil, [][]int16{make([]int16, n)}, 1, ws)
-		})
+		for bad := 0; bad < count; bad++ {
+			sweeps := make([][]float64, count)
+			codes := make([][]int16, count)
+			for i := range sweeps {
+				m := ns
+				if i == bad {
+					m = n
+				}
+				sweeps[i] = make([]float64, m)
+				codes[i] = make([]int16, m)
+			}
+			want := fmt.Sprintf("fmcw: sweep %d has %d samples,", bad, n)
+			mustPanic(fmt.Sprintf("float64 sweep %d of %d samples", bad, n), want, func() {
+				s.ComplexFrameFromSweepsInto(nil, sweeps, ws)
+			})
+			mustPanic(fmt.Sprintf("int16 sweep %d of %d samples", bad, n), want, func() {
+				s.ComplexFrameFromSweepsInt16Into(nil, codes, 1, ws)
+			})
+		}
 	}
 	over := make([][]int16, MaxSweepsPerFrame+1)
 	for i := range over {
 		over[i] = make([]int16, ns)
 	}
-	mustPanic("int16 frame past MaxSweepsPerFrame", func() {
+	mustPanic("int16 frame past MaxSweepsPerFrame", "fmcw: int16 frame of", func() {
 		s.ComplexFrameFromSweepsInt16Into(nil, over, 1, ws)
 	})
 }
