@@ -1,7 +1,8 @@
 package witrack
 
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation (see DESIGN.md's per-experiment index). Each bench
+// paper's evaluation (cmd/witrack-bench lists every experiment id, and
+// README.md's "Benchmarks" section says how to run them). Each bench
 // runs a reduced-scale workload per iteration and reports the headline
 // numbers as custom metrics, so `go test -bench=. -benchmem` regenerates
 // the whole evaluation in a few minutes. Full paper-scale runs are

@@ -190,7 +190,7 @@ var evaluation = []experiment{
 		r, err := experiments.TwoPerson(sc.Duration, seed+17)
 		check(err)
 		row("per-person median 2D error", "proposed, not evaluated in the paper",
-			fmt.Sprintf("%.2f m (%.0f%% frames with a joint fix; run-to-run variance is high — see EXPERIMENTS.md)", r.MedianErr2D, r.ValidFrac*100))
+			fmt.Sprintf("%.2f m (%.0f%% frames with a joint fix; run-to-run variance is high)", r.MedianErr2D, r.ValidFrac*100))
 	}},
 }
 

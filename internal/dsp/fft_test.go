@@ -55,23 +55,6 @@ func TestFFTPanicsOnNonPow2(t *testing.T) {
 	PlanFor(3)
 }
 
-func TestIFFTInverts(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := make([]complex128, 128)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	y := append([]complex128(nil), x...)
-	p := PlanFor(len(y))
-	p.Transform(y)
-	p.Inverse(y)
-	for i := range x {
-		if !complexClose(x[i], y[i], 1e-10) {
-			t.Fatalf("bin %d: got %v want %v", i, y[i], x[i])
-		}
-	}
-}
-
 // Property: Parseval's theorem — total energy is preserved (up to the N
 // normalization of the unnormalized transform).
 func TestFFTParsevalProperty(t *testing.T) {

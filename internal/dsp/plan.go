@@ -8,12 +8,19 @@ import (
 )
 
 // Plan holds everything a fixed-size FFT needs precomputed: the
-// bit-reversal permutation (as a swap list) and one twiddle-factor table
-// per butterfly stage, so the transform itself runs with zero trig calls,
-// zero recurrences, and zero allocations. A Plan also carries the
-// half-size plan and the split-radix twiddles used by the real-input
-// transform (RealTransform), which exploits conjugate symmetry to do a
-// length-n real FFT with a single length-n/2 complex FFT.
+// bit-reversal permutation and one twiddle-factor table per butterfly
+// stage, so the transform itself runs with zero trig calls, zero
+// recurrences, and zero allocations. A Plan also carries the half-size
+// plan and the split-radix twiddles used by the real-input transform
+// (RealTransform), which exploits conjugate symmetry to do a length-n
+// real FFT with a single length-n/2 complex FFT.
+//
+// The butterflies run two radix-2 stages per pass over memory (a
+// radix-2² schedule): each pass loads four points, applies stage s's
+// butterflies and then stage s+1's, and stores the four. Every output
+// gets the floating-point operations of the one-stage-per-pass radix-2
+// loop, on the same operands and in the same order, so the two agree
+// bit for bit; the fused passes only halve the trips through memory.
 //
 // Plans are immutable after construction and safe for concurrent use by
 // any number of goroutines; callers that need scratch buffers (the
@@ -22,14 +29,18 @@ import (
 // for a private instance.
 type Plan struct {
 	n int
-	// swaps lists the (i, j) index pairs, i < j, exchanged by the
-	// bit-reversal permutation.
-	swaps [][2]int32
+	// rev is the bit-reversal permutation: rev[i] is i with its log2(n)
+	// bits reversed. Transform swaps x[i] and x[rev[i]] in place before
+	// its butterflies; the real-input packing gathers through the half
+	// plan's table instead, so its stores land in bit-reversed order and
+	// RealTransform needs no swap pass.
+	rev []int32
 	// stages[s] is the twiddle table of butterfly stage s (size 2<<s):
-	// stages[s][k] = exp(-2*pi*i*k/(2<<s)) for k < 1<<s. Unit-stride
-	// tables beat a single strided table on cache behavior, and reading
-	// exact precomputed values eliminates the numerically drifting
-	// w *= wBase recurrence of the old FFT.
+	// stages[s][k] = exp(-2*pi*i*k/(2<<s)) for k < 1<<s. With h = 1<<s,
+	// a fused pass over stages s and s+1 reads stages[s][k],
+	// stages[s+1][k] and stages[s+1][k+h] for each k < h, all three at
+	// unit stride, and reading exact precomputed values eliminates the
+	// numerically drifting w *= wBase recurrence of a twiddle generator.
 	stages [][]complex128
 	// half is the n/2-point plan backing RealTransform (nil for n < 2).
 	half *Plan
@@ -40,32 +51,27 @@ type Plan struct {
 }
 
 // NewPlan precomputes an FFT plan for size n. n must be a power of two
-// (and >= 1); NewPlan panics otherwise, mirroring the legacy FFT's
-// contract.
+// (and >= 1); NewPlan panics otherwise.
 func NewPlan(n int) *Plan {
 	return newPlan(n, true)
 }
 
 // newPlan builds the plan; withReal selects whether the real-input
 // machinery (the half-size plan and split twiddles) is included. The
-// embedded half-size plan only ever runs Transform, so it skips its own
-// real machinery — without this the half chain would recurse to size 1,
-// doubling table memory and construction work per size.
+// embedded half-size plan only ever runs butterflies, so it skips its
+// own real machinery — without this the half chain would recurse to
+// size 1, doubling table memory and construction work per size.
 func newPlan(n int, withReal bool) *Plan {
 	if n < 1 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("dsp: FFT length %d is not a power of two", n))
 	}
-	p := &Plan{n: n}
+	p := &Plan{n: n, rev: make([]int32, n)}
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := range p.rev {
+		p.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+	}
 	if n == 1 {
 		return p
-	}
-	// Bit-reversal swap list.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			p.swaps = append(p.swaps, [2]int32{int32(i), int32(j)})
-		}
 	}
 	// Per-stage twiddle tables, each entry evaluated directly from trig
 	// (no recurrence, so the last entry is as accurate as the first).
@@ -99,39 +105,59 @@ func (p *Plan) Transform(x []complex128) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dsp: Transform on %d samples with a %d-point plan", len(x), p.n))
 	}
-	for _, s := range p.swaps {
-		x[s[0]], x[s[1]] = x[s[1]], x[s[0]]
-	}
-	n := p.n
-	for si, tw := range p.stages {
-		half := 1 << uint(si)
-		size := half << 1
-		for start := 0; start < n; start += size {
-			a := x[start : start+half : start+half]
-			b := x[start+half : start+size : start+size]
-			for k := range a {
-				even := a[k]
-				odd := b[k] * tw[k]
-				a[k] = even + odd
-				b[k] = even - odd
-			}
+	x = x[:len(p.rev)]
+	for i, r := range p.rev {
+		if int(r) > i {
+			x[i], x[r] = x[r], x[i]
 		}
+	}
+	p.butterflies(x)
+}
+
+// butterflies runs every radix-2 stage over x, which holds the plan's n
+// points in bit-reversed order, two stages per pass. An odd stage count
+// takes one plain radix-2 pass first: that is stage 0, whose only
+// twiddle is stages[0][0] = (1, -0). The k = 0 twiddles are multiplied
+// like any other, as the radix-2 loop does: skipping them would change
+// signed zeros and turn Inf·0 = NaN into a finite value.
+func (p *Plan) butterflies(x []complex128) {
+	s := 0
+	if len(p.stages)%2 == 1 {
+		w := p.stages[0][0]
+		for i := 0; i+1 < len(x); i += 2 {
+			even := x[i]
+			odd := x[i+1] * w
+			x[i], x[i+1] = even+odd, even-odd
+		}
+		s = 1
+	}
+	for ; s < len(p.stages); s += 2 {
+		radix4Pass(x, p.stages[s], p.stages[s+1])
 	}
 }
 
-// Inverse computes the in-place inverse FFT of x, including the 1/N
-// scaling. It allocates nothing.
-func (p *Plan) Inverse(x []complex128) {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("dsp: Inverse on %d samples with a %d-point plan", len(x), p.n))
-	}
-	for i := range x {
-		x[i] = complex(real(x[i]), -imag(x[i]))
-	}
-	p.Transform(x)
-	inv := 1 / float64(p.n)
-	for i := range x {
-		x[i] = complex(real(x[i])*inv, -imag(x[i])*inv)
+// radix4Pass applies radix-2 stages s and s+1 to x in one pass, with t0
+// = stages[s] and t1 = stages[s+1]. Each block of 4h points (h = 1<<s)
+// holds, for every k < h, the four points k, k+h, k+2h and k+3h: stage
+// s pairs k with k+h and k+2h with k+3h under t0[k], then stage s+1
+// pairs k with k+2h under t1[k] and k+h with k+3h under t1[k+h]. Every
+// product and sum is the radix-2 loop's, operands in the same order.
+func radix4Pass(x, t0, t1 []complex128) {
+	h := len(t0)
+	lo, hi := t1[:h], t1[h:][:h]
+	for start := 0; start < len(x); start += 4 * h {
+		blk := x[start:]
+		a, b, c, d := blk[:h], blk[h:][:h], blk[2*h:][:h], blk[3*h:][:h]
+		for k, w := range t0 {
+			odd := b[k] * w
+			y0, y1 := a[k]+odd, a[k]-odd
+			odd = d[k] * w
+			y2, y3 := c[k]+odd, c[k]-odd
+			odd = y2 * lo[k]
+			a[k], c[k] = y0+odd, y0-odd
+			odd = y3 * hi[k]
+			b[k], d[k] = y1+odd, y1-odd
+		}
 	}
 }
 
@@ -144,10 +170,12 @@ func (p *Plan) Inverse(x []complex128) {
 //
 // The implementation packs even samples into real parts and odd samples
 // into imaginary parts, runs one half-size complex FFT, and unpacks with
-// the precomputed split twiddles — half the butterflies of the complex
-// transform the legacy path used. If window is non-nil it must cover x
+// the precomputed split twiddles — half the butterflies of a complex
+// transform of the same length. If window is non-nil it must cover x
 // (len(window) >= len(x)); sample i is multiplied by window[i] before
-// the transform, fusing the windowing pass into the packing pass.
+// the transform, fusing the windowing pass into the packing pass. The
+// packing writes its points in bit-reversed order, so the half-size
+// transform runs its butterflies with no swap pass.
 func (p *Plan) RealTransform(dst []complex128, x []float64, window []float64) []complex128 {
 	if p.n == 1 {
 		if len(dst) != 1 {
@@ -161,14 +189,16 @@ func (p *Plan) RealTransform(dst []complex128, x []float64, window []float64) []
 		dst = make([]complex128, h+1)
 	}
 	p.packReal(dst, x, window)
-	p.half.Transform(dst[:h])
+	p.half.butterflies(dst[:h])
 	p.unpackReal(dst)
 	return dst
 }
 
 // packReal writes the real-input packing of x into dst: for n == 1 the
 // single (windowed) sample, otherwise z[k] = x[2k] + i*x[2k+1]
-// (windowed, zero-padded) into dst[:n/2] with dst[n/2] untouched.
+// (windowed, zero-padded) into dst[:n/2] in bit-reversed order — slot i
+// holds z[rev[i]] of the half plan — with dst[n/2] untouched. Gathering
+// through the table keeps every store sequential.
 func (p *Plan) packReal(dst []complex128, x []float64, window []float64) {
 	if len(x) > p.n {
 		x = x[:p.n]
@@ -187,26 +217,25 @@ func (p *Plan) packReal(dst []complex128, x []float64, window []float64) {
 		dst[0] = complex(v, 0)
 		return
 	}
-	h := p.n / 2
-	lim := (len(x) + 1) / 2
-	for k := 0; k < lim; k++ {
+	rev := p.half.rev
+	dst = dst[:len(rev)]
+	pairs := len(x) / 2 // points with both samples in x
+	for i, r := range rev {
+		j := 2 * int(r)
 		var re, im float64
-		if j := 2 * k; j < len(x) {
+		if int(r) < pairs {
+			re, im = x[j], x[j+1]
+			if window != nil {
+				re *= window[j]
+				im *= window[j+1]
+			}
+		} else if j < len(x) {
 			re = x[j]
 			if window != nil {
 				re *= window[j]
 			}
 		}
-		if j := 2*k + 1; j < len(x) {
-			im = x[j]
-			if window != nil {
-				im *= window[j]
-			}
-		}
-		dst[k] = complex(re, im)
-	}
-	for k := lim; k < h; k++ {
-		dst[k] = 0
+		dst[i] = complex(re, im)
 	}
 }
 

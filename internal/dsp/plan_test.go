@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -45,19 +46,216 @@ func TestPlanTransformMatchesDFT(t *testing.T) {
 	}
 }
 
-func TestPlanInverseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	p := NewPlan(1024)
-	x := make([]complex128, 1024)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+// radix2Oracle is the transform the fused passes replaced, kept as
+// their oracle: a swap pass over the bit-reversal pairs (i, j), i < j,
+// then one pass over memory per radix-2 stage with the plan's twiddle
+// tables.
+func radix2Oracle(p *Plan, x []complex128) {
+	n := len(x)
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+			x[i], x[j] = x[j], x[i]
+		}
 	}
-	y := append([]complex128(nil), x...)
-	p.Transform(y)
-	p.Inverse(y)
-	for i := range x {
-		if !complexClose(x[i], y[i], 1e-12) {
-			t.Fatalf("bin %d: got %v want %v", i, y[i], x[i])
+	for si, tw := range p.stages {
+		half := 1 << uint(si)
+		size := half << 1
+		for start := 0; start < n; start += size {
+			a := x[start : start+half : start+half]
+			b := x[start+half : start+size : start+size]
+			for k := range a {
+				even := a[k]
+				odd := b[k] * tw[k]
+				a[k] = even + odd
+				b[k] = even - odd
+			}
+		}
+	}
+}
+
+// linearPackOracle is the real-input packing the bit-reversing gather
+// replaced: z[k] = x[2k] + i*x[2k+1] (windowed, zero-padded) stored in
+// natural order into dst[:n/2], for n >= 2.
+func linearPackOracle(n int, dst []complex128, x, window []float64) {
+	if len(x) > n {
+		x = x[:n]
+	}
+	h := n / 2
+	lim := (len(x) + 1) / 2
+	for k := 0; k < lim; k++ {
+		var re, im float64
+		if j := 2 * k; j < len(x) {
+			re = x[j]
+			if window != nil {
+				re *= window[j]
+			}
+		}
+		if j := 2*k + 1; j < len(x) {
+			im = x[j]
+			if window != nil {
+				im *= window[j]
+			}
+		}
+		dst[k] = complex(re, im)
+	}
+	for k := lim; k < h; k++ {
+		dst[k] = 0
+	}
+}
+
+// realOracle is RealTransform as it ran before the gather and the fused
+// passes: linear pack, swap pass and radix-2 stages on the half plan,
+// then the shared unpack.
+func realOracle(p *Plan, x, window []float64) []complex128 {
+	if p.n == 1 {
+		dst := make([]complex128, 1)
+		p.packReal(dst, x, window)
+		return dst
+	}
+	h := p.n / 2
+	dst := make([]complex128, h+1)
+	linearPackOracle(p.n, dst, x, window)
+	radix2Oracle(p.half, dst[:h])
+	p.unpackReal(dst)
+	return dst
+}
+
+// sameBits reports whether a and b agree bit for bit, except that any
+// NaN matches any NaN: x86 returns the first operand's NaN payload, and
+// the compiler may swap the operands of a commutative operation, so
+// only where a NaN appears is part of the contract, not its payload.
+func sameBits(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// sameSpectrum fails unless got matches the oracle's want bit for bit
+// under sameBits.
+func sameSpectrum(t *testing.T, label string, got, want []complex128) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d bins, oracle %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !sameBits(real(got[i]), real(want[i])) || !sameBits(imag(got[i]), imag(want[i])) {
+			t.Fatalf("%s: bin %d is %v, oracle %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// specialValue draws one of the values that expose a skipped or
+// reordered operation — signed zeros, infinities, NaN, subnormals and
+// values whose products overflow — or, one time in eight, a normal
+// sample.
+func specialValue(rng *rand.Rand) float64 {
+	sign := float64(1 - 2*rng.Intn(2))
+	switch rng.Intn(8) {
+	case 0:
+		return math.Copysign(0, sign)
+	case 1:
+		return math.Copysign(0, -sign)
+	case 2:
+		return math.Inf(int(sign))
+	case 3:
+		return math.NaN()
+	case 4:
+		return sign * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+	case 5:
+		return sign * math.MaxFloat64 / (1 + rng.Float64())
+	case 6:
+		return sign * 0x1p-1022 * rng.Float64() // subnormal or zero
+	default:
+		return rng.NormFloat64()
+	}
+}
+
+// oracleInputs are the sample patterns the bit-identity tests feed both
+// sides: Gaussian samples; signed zeros salted with subnormals, whose
+// outputs are all zeros whose signs a skipped (1, -0) twiddle would
+// flip; Gaussian samples with a few special values; and special values
+// throughout.
+var oracleInputs = []struct {
+	name string
+	draw func(rng *rand.Rand, i, n int) float64
+}{
+	{"gaussian", func(rng *rand.Rand, _, _ int) float64 { return rng.NormFloat64() }},
+	{"signed zeros", func(rng *rand.Rand, _, _ int) float64 {
+		if rng.Intn(16) == 0 {
+			return float64(1-2*rng.Intn(2)) * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(8))
+		}
+		return math.Copysign(0, float64(1-2*rng.Intn(2)))
+	}},
+	{"sparse specials", func(rng *rand.Rand, _, n int) float64 {
+		if rng.Intn(n+8) < 3 {
+			return specialValue(rng)
+		}
+		return rng.NormFloat64()
+	}},
+	{"specials", func(rng *rand.Rand, _, _ int) float64 { return specialValue(rng) }},
+}
+
+// fill returns n samples of one oracle input pattern.
+func fill(rng *rand.Rand, n int, draw func(*rand.Rand, int, int) float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = draw(rng, i, n)
+	}
+	return out
+}
+
+// TestFusedTransformMatchesRadix2Oracle pins Transform — the in-place
+// bit-reversal swaps and the fused two-stage passes — to the radix-2
+// oracle bit for bit at every size from 1 to 2^14, so both odd stage
+// counts (a plain radix-2 pass first) and even ones are covered.
+func TestFusedTransformMatchesRadix2Oracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for lg := 0; lg <= 14; lg++ {
+		n := 1 << lg
+		p := NewPlan(n)
+		for _, in := range oracleInputs {
+			for round := 0; round < 3; round++ {
+				re, im := fill(rng, n, in.draw), fill(rng, n, in.draw)
+				x := make([]complex128, n)
+				for i := range x {
+					x[i] = complex(re[i], im[i])
+				}
+				want := append([]complex128(nil), x...)
+				radix2Oracle(p, want)
+				p.Transform(x)
+				sameSpectrum(t, fmt.Sprintf("n=%d %s round %d", n, in.name, round), x, want)
+			}
+		}
+	}
+}
+
+// TestFusedRealTransformMatchesRadix2Oracle pins RealTransform — the
+// bit-reversing gather and the fused passes with no swap pass — to the
+// linear pack and radix-2 oracle bit for bit at every size from 1 to
+// 2^14, for signals of the plan's length, one short, odd, shorter than
+// half the plan, empty and longer than the plan, each unwindowed, under
+// a Gaussian window and under a window of special values.
+func TestFusedRealTransformMatchesRadix2Oracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for lg := 0; lg <= 14; lg++ {
+		n := 1 << lg
+		p := NewPlan(n)
+		lengths := []int{n, n - 1, 2*rng.Intn(n/2+1) + 1, rng.Intn(n/2 + 1), 0, n + 3}
+		for _, in := range oracleInputs {
+			for _, ns := range lengths {
+				x := fill(rng, ns, in.draw)
+				windows := map[string][]float64{
+					"no window":       nil,
+					"gaussian window": fill(rng, ns+rng.Intn(3), oracleInputs[0].draw),
+					"special window":  fill(rng, ns, oracleInputs[3].draw),
+				}
+				for wname, w := range windows {
+					label := fmt.Sprintf("n=%d %s, %d samples, %s", n, in.name, ns, wname)
+					sameSpectrum(t, label, p.RealTransform(nil, x, w), realOracle(p, x, w))
+				}
+			}
 		}
 	}
 }
@@ -215,9 +413,6 @@ func TestPlanTransformsAllocateNothing(t *testing.T) {
 	w := Hann(n)
 	if a := testing.AllocsPerRun(20, func() { p.Transform(x) }); a != 0 {
 		t.Fatalf("Transform allocates %v per run", a)
-	}
-	if a := testing.AllocsPerRun(20, func() { p.Inverse(x) }); a != 0 {
-		t.Fatalf("Inverse allocates %v per run", a)
 	}
 	if a := testing.AllocsPerRun(20, func() { dst = p.RealTransform(dst, sig, w) }); a != 0 {
 		t.Fatalf("RealTransform allocates %v per run", a)

@@ -1,5 +1,6 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§8-§9) plus the ablations called out in DESIGN.md. Each
+// evaluation (§8-§9) plus the ablations and §10 extensions that
+// cmd/witrack-bench runs as rows A1-A3 and X1-X2. Each
 // experiment is a pure function of a Scale (how much workload to run)
 // and a seed, and returns a structured result that cmd/witrack-bench
 // renders as paper-style rows and bench_test.go asserts against.

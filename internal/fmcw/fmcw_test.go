@@ -174,10 +174,11 @@ func TestTwoReflectorsResolved(t *testing.T) {
 	}
 }
 
-// TestFastMatchesSlowSpectrum is the equivalence property the DESIGN.md
-// substitution relies on: the frequency-domain synthesizer must produce
-// the same frame as windowed-FFT time-domain synthesis. With noise
-// disabled-in-effect (tiny floor), the two must agree to high precision.
+// TestFastMatchesSlowSpectrum is the equivalence property the fast
+// synthesis path relies on (see Synthesizer): the frequency-domain
+// synthesizer must produce the same frame as windowed-FFT time-domain
+// synthesis. With noise disabled-in-effect (tiny floor), the two must
+// agree to high precision.
 func TestFastMatchesSlowSpectrum(t *testing.T) {
 	cfg := shortConfig()
 	cfg.NoiseFloorWatts = 1e-30 // effectively noiseless

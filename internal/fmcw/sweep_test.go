@@ -167,6 +167,144 @@ func TestInt16SumIsExactAtTheRails(t *testing.T) {
 	closeToPeak(t, "rail codes vs one sweep", got, perSweepFrame(s, dequantize(codes[:1], scale)))
 }
 
+// perSweepSum is the float64 summing loop the two-sweep passes
+// replaced, kept as their oracle: from +0, one pass per sweep in sweep
+// order.
+func perSweepSum(ns int, sweeps [][]float64) []float64 {
+	sum := make([]float64, ns)
+	for _, sw := range sweeps {
+		for j, v := range sw {
+			sum[j] += v
+		}
+	}
+	return sum
+}
+
+// perSweepSum16 is the int16 summing loop and the separate dequantize
+// pass the two-sweep passes replaced, kept as their oracle: one int32
+// pass per sweep, then float64(sum) * scale.
+func perSweepSum16(ns int, sweeps [][]int16, scale float64) []float64 {
+	acc := make([]int32, ns)
+	for _, sw := range sweeps {
+		for j, c := range sw {
+			acc[j] += int32(c)
+		}
+	}
+	sum := make([]float64, ns)
+	for j, v := range acc {
+		sum[j] = float64(v) * scale
+	}
+	return sum
+}
+
+// sampleDraws are the float64 sweep samples the sum oracle test feeds
+// both sides: Gaussian samples, signed zeros (the sum starts from +0,
+// so +0 + -0 must stay +0), and special values throughout.
+var sampleDraws = []struct {
+	name string
+	draw func(rng *rand.Rand) float64
+}{
+	{"gaussian", func(rng *rand.Rand) float64 { return rng.NormFloat64() }},
+	{"signed zeros", func(rng *rand.Rand) float64 { return math.Copysign(0, rng.Float64()-0.5) }},
+	{"specials", func(rng *rand.Rand) float64 {
+		sign := rng.Float64() - 0.5
+		switch rng.Intn(6) {
+		case 0:
+			return math.Copysign(0, sign)
+		case 1:
+			return math.Inf(int(math.Copysign(1, sign)))
+		case 2:
+			return math.NaN()
+		case 3:
+			return math.Copysign(math.SmallestNonzeroFloat64*float64(1+rng.Intn(1<<20)), sign)
+		case 4:
+			return math.Copysign(math.MaxFloat64/(1+rng.Float64()), sign)
+		default:
+			return rng.NormFloat64()
+		}
+	}},
+}
+
+// sameSum fails unless the frame body's sum matches the oracle's bit
+// for bit, except that any NaN matches any NaN (which NaN payload an
+// addition keeps is the hardware's and the compiler's choice).
+func sameSum(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for j := range want {
+		g, w := got[j], want[j]
+		if math.IsNaN(g) && math.IsNaN(w) {
+			continue
+		}
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: sample %d sums to %v (%#x), oracle %v (%#x)", label, j, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// TestSumPassesMatchPerSweepOracle pins both summing entry points to
+// the per-sweep loops they replaced, bit for bit, at 0 to 8 sweeps per
+// frame — so the two-sweep passes meet an odd tail and none — on both
+// radio shapes, and on MaxSweepsPerFrame sweeps of rail codes and of
+// random codes. The int16 sums run under several scales, subnormal and
+// infinite among them.
+func TestSumPassesMatchPerSweepOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	scales := []float64{1e-6, -0.25, math.SmallestNonzeroFloat64, math.Inf(1)}
+	for _, cfg := range []Config{Default(), compactRadio()} {
+		s := NewSynthesizer(cfg)
+		ns := cfg.SamplesPerSweep()
+		ws := s.NewSweepScratch()
+		for count := 0; count <= 8; count++ {
+			for _, d := range sampleDraws {
+				sweeps := make([][]float64, count)
+				for i := range sweeps {
+					sweeps[i] = make([]float64, ns)
+					for j := range sweeps[i] {
+						sweeps[i][j] = d.draw(rng)
+					}
+				}
+				s.ComplexFrameFromSweepsInto(nil, sweeps, ws)
+				sameSum(t, fmt.Sprintf("%d samples, %d %s sweeps", ns, count, d.name), ws.sum, perSweepSum(ns, sweeps))
+			}
+			codes := make([][]int16, count)
+			for i := range codes {
+				codes[i] = make([]int16, ns)
+				for j := range codes[i] {
+					codes[i][j] = int16(rng.Intn(1 << 16))
+				}
+			}
+			for _, scale := range scales {
+				s.ComplexFrameFromSweepsInt16Into(nil, codes, scale, ws)
+				sameSum(t, fmt.Sprintf("%d samples, %d int16 sweeps, scale %g", ns, count, scale), ws.sum, perSweepSum16(ns, codes, scale))
+			}
+		}
+	}
+	// MaxSweepsPerFrame sweeps: rail codes, each sample's sum ±1,024
+	// full-scale codes, and random codes.
+	s := NewSynthesizer(compactRadio())
+	ns := s.cfg.SamplesPerSweep()
+	rails := make([][]int16, MaxSweepsPerFrame)
+	random := make([][]int16, MaxSweepsPerFrame)
+	for i := range rails {
+		rails[i] = make([]int16, ns)
+		random[i] = make([]int16, ns)
+		for j := range rails[i] {
+			rails[i][j] = math.MaxInt16
+			if (j/7)%2 == 1 {
+				rails[i][j] = math.MinInt16
+			}
+			random[i][j] = int16(rng.Intn(1 << 16))
+		}
+	}
+	ws := s.NewSweepScratch()
+	for _, scale := range scales {
+		s.ComplexFrameFromSweepsInt16Into(nil, rails, scale, ws)
+		sameSum(t, fmt.Sprintf("rail codes, scale %g", scale), ws.sum, perSweepSum16(ns, rails, scale))
+		s.ComplexFrameFromSweepsInt16Into(nil, random, scale, ws)
+		sameSum(t, fmt.Sprintf("random codes, scale %g", scale), ws.sum, perSweepSum16(ns, random, scale))
+	}
+}
+
 // frameDigest folds every bin's real and imaginary bits into a 64-bit
 // FNV-1a hash, so a single-bit change anywhere in a frame moves it.
 func frameDigest(h hash.Hash64, frame dsp.ComplexFrame) {

@@ -260,17 +260,29 @@ func (s *Synthesizer) ComplexFrameFromSweeps(sweeps [][]float64) dsp.ComplexFram
 // The FFT is linear, so the average of the windowed sweep spectra is
 // the spectrum of the windowed average sweep: the sweeps are summed
 // sample by sample in sweep order, and the sum is windowed and
-// transformed once, whatever the sweep count. Every sweep must have
-// the radio's SamplesPerSweep samples; a sweep of any other length is a
-// programmer error and panics.
+// transformed once, whatever the sweep count. Each summing pass reads
+// two sweeps, and each sample's additions still run in sweep order from
+// +0, so the sum is the one sweep-at-a-time addition would give, bit
+// for bit. Every sweep must have the radio's SamplesPerSweep samples; a
+// sweep of any other length is a programmer error and panics.
 func (s *Synthesizer) ComplexFrameFromSweepsInto(dst dsp.ComplexFrame, sweeps [][]float64, ws *SweepScratch) dsp.ComplexFrame {
+	for i, sw := range sweeps {
+		s.checkSweep(i, len(sw))
+	}
 	ws.sum = sized(ws.sum, len(s.window))
 	sum := ws.sum
 	clear(sum)
-	for i, sw := range sweeps {
-		s.checkSweep(i, len(sw))
-		for j, v := range sw {
-			sum[j] += v
+	rest := sweeps
+	for ; len(rest) >= 2; rest = rest[2:] {
+		x, y := rest[0][:len(sum)], rest[1][:len(sum)]
+		for j := range sum {
+			sum[j] = (sum[j] + x[j]) + y[j]
+		}
+	}
+	if len(rest) == 1 {
+		x := rest[0][:len(sum)]
+		for j := range sum {
+			sum[j] += x[j]
 		}
 	}
 	return s.frameFromSum(dst, len(sweeps), ws)
@@ -280,27 +292,45 @@ func (s *Synthesizer) ComplexFrameFromSweepsInto(dst dsp.ComplexFrame, sweeps []
 // quantized int16 sweeps dequantized by scale. The codes are summed in
 // int32, which is exact: a frame holds at most MaxSweepsPerFrame
 // sweeps, so no sum overflows, and a frame of more sweeps panics like a
-// sweep of the wrong length. The exact sum is dequantized once, so the
-// only deviation from the unquantized path is the quantization itself,
-// bounded by QuantErrorBound(scale).
+// sweep of the wrong length. Exact sums may be grouped freely, so each
+// pass adds two sweeps' codes, and the last pass dequantizes the exact
+// sum once as it writes it; the only deviation from the unquantized
+// path is the quantization itself, bounded by QuantErrorBound(scale).
 func (s *Synthesizer) ComplexFrameFromSweepsInt16Into(dst dsp.ComplexFrame, sweeps [][]int16, scale float64, ws *SweepScratch) dsp.ComplexFrame {
 	if len(sweeps) > MaxSweepsPerFrame {
 		panic(fmt.Sprintf("fmcw: int16 frame of %d sweeps exceeds the cap of %d", len(sweeps), MaxSweepsPerFrame))
 	}
-	ns := len(s.window)
-	ws.sum16 = sized(ws.sum16, ns)
-	acc := ws.sum16
-	clear(acc)
 	for i, sw := range sweeps {
 		s.checkSweep(i, len(sw))
-		for j, c := range sw {
-			acc[j] += int32(c)
+	}
+	ns := len(s.window)
+	ws.sum16 = sized(ws.sum16, ns)
+	acc := ws.sum16[:ns]
+	clear(acc)
+	rest := sweeps
+	for ; len(rest) > 2; rest = rest[2:] {
+		x, y := rest[0][:ns], rest[1][:ns]
+		for j := range acc {
+			acc[j] += int32(x[j]) + int32(y[j])
 		}
 	}
 	ws.sum = sized(ws.sum, ns)
-	sum := ws.sum
-	for j, v := range acc {
-		sum[j] = float64(v) * scale
+	sum := ws.sum[:ns]
+	switch len(rest) {
+	case 2:
+		x, y := rest[0][:ns], rest[1][:ns]
+		for j := range sum {
+			sum[j] = float64(acc[j]+int32(x[j])+int32(y[j])) * scale
+		}
+	case 1:
+		x := rest[0][:ns]
+		for j := range sum {
+			sum[j] = float64(acc[j]+int32(x[j])) * scale
+		}
+	default:
+		for j := range sum {
+			sum[j] = float64(acc[j]) * scale
+		}
 	}
 	return s.frameFromSum(dst, len(sweeps), ws)
 }

@@ -8,7 +8,7 @@
 //   - an FMCW radio model (5.56-7.25 GHz sweep, C/2B = 8.8 cm
 //     resolution) with both signal-level and fast spectral-level
 //     synthesis of the baseband frames (the hardware front end is a
-//     simulation substrate — see DESIGN.md for the substitution);
+//     simulation substrate; README.md's opening says what it replaces);
 //   - the §4 TOF pipeline: background subtraction, bottom-contour
 //     tracking, outlier rejection, interpolation, Kalman smoothing;
 //   - the §5 geometric localization (ellipsoid intersection over a
