@@ -179,29 +179,29 @@ func specialValue(rng *rand.Rand) float64 {
 // throughout.
 var oracleInputs = []struct {
 	name string
-	draw func(rng *rand.Rand, i, n int) float64
+	draw func(rng *rand.Rand, n int) float64
 }{
-	{"gaussian", func(rng *rand.Rand, _, _ int) float64 { return rng.NormFloat64() }},
-	{"signed zeros", func(rng *rand.Rand, _, _ int) float64 {
+	{"gaussian", func(rng *rand.Rand, _ int) float64 { return rng.NormFloat64() }},
+	{"signed zeros", func(rng *rand.Rand, _ int) float64 {
 		if rng.Intn(16) == 0 {
 			return float64(1-2*rng.Intn(2)) * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(8))
 		}
 		return math.Copysign(0, float64(1-2*rng.Intn(2)))
 	}},
-	{"sparse specials", func(rng *rand.Rand, _, n int) float64 {
+	{"sparse specials", func(rng *rand.Rand, n int) float64 {
 		if rng.Intn(n+8) < 3 {
 			return specialValue(rng)
 		}
 		return rng.NormFloat64()
 	}},
-	{"specials", func(rng *rand.Rand, _, _ int) float64 { return specialValue(rng) }},
+	{"specials", func(rng *rand.Rand, _ int) float64 { return specialValue(rng) }},
 }
 
 // fill returns n samples of one oracle input pattern.
-func fill(rng *rand.Rand, n int, draw func(*rand.Rand, int, int) float64) []float64 {
+func fill(rng *rand.Rand, n int, draw func(*rand.Rand, int) float64) []float64 {
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = draw(rng, i, n)
+		out[i] = draw(rng, n)
 	}
 	return out
 }
